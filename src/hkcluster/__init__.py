@@ -13,11 +13,7 @@ from .cluster import (
     sparse_cut,
 )
 from .congest import NodeInfo, Protocol, RoundStats, SimConfig, SimulationError, run_protocol
-from .distributed import (
-    TokenBatch,
-    distribution_equivalence_check,
-    estimate_phkpr_distributed,
-)
+from .distributed import TokenBatch, estimate_phkpr_distributed
 from .graph import (
     Graph,
     GraphError,
@@ -30,8 +26,6 @@ from .graph import (
 from .hkpr import (
     PhkprVector,
     exact_phkpr,
-    poisson_draws,
-    sample_walk_length,
     serial_estimate_phkpr,
     step_cap,
     token_count,

@@ -41,6 +41,8 @@ def _load_graph(spec: str) -> Graph:
     if spec.startswith("gen:"):
         parts = spec.split(":")[1:]
         name, args = parts[0], parts[1:]
+        if name in ("path", "cycle", "clique", "two-cliques", "random") and not args:
+            raise GraphError(f"generator {name!r} needs a size, as in gen:{name}:10")
         if name == "path":
             return generators.path_graph(int(args[0]))
         if name == "cycle":
@@ -146,8 +148,8 @@ def _sweep_section(rep: Report, res, name: str = "sweep") -> None:
     )
 
 
-def _kmachine_section(rep: Report, stats: RoundStats, g: Graph, grid: list[int]) -> None:
-    meas = CostMeasurement.from_stats(stats, g.node_count, g.max_degree)
+def _kmachine_section(rep: Report, stats: RoundStats, grid: list[int]) -> None:
+    meas = CostMeasurement.from_stats(stats)
     rep.table(
         "kmachine",
         ["k", "bound", "dominating-term"],
@@ -181,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--serial", action="store_true", help="use the serial reference walker")
+    p.add_argument("--serial", action="store_true", help="run the same walk centrally, without a ledger")
     p.add_argument("--trace", type=str, default=None, help="write per-round (u,v,bits) trace")
 
     p = sub.add_parser("hkpr-exact", help="exact truncated-series diffusion vector")
@@ -239,8 +241,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--messages", type=int, required=True, help="message complexity M")
     p.add_argument("--cdeg", type=int, required=True, help="communication degree complexity C")
     p.add_argument("--rounds", type=int, required=True, help="round count T")
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--max-degree", type=int, default=0)
     p.add_argument("--k-grid", type=str, default="2,4,8,16")
     return parser
 
@@ -272,7 +272,7 @@ def _cmd_hkpr(args, argv: list[str]) -> str:
     if not args.serial:
         _rounds_section(rep, stats)
         if args.k_grid:
-            _kmachine_section(rep, stats, g, _parse_grid(args.k_grid))
+            _kmachine_section(rep, stats, _parse_grid(args.k_grid))
     return rep.render()
 
 
@@ -311,7 +311,7 @@ def _cmd_sweep(args, argv: list[str]) -> str:
     )
     _rounds_section(rep, total)
     if args.k_grid:
-        _kmachine_section(rep, total, g, _parse_grid(args.k_grid))
+        _kmachine_section(rep, total, _parse_grid(args.k_grid))
     return rep.render()
 
 
@@ -361,7 +361,7 @@ def _cmd_cluster(args, argv: list[str]) -> str:
     )
     _rounds_section(rep, outcome.stats)
     if args.k_grid:
-        _kmachine_section(rep, outcome.stats, g, _parse_grid(args.k_grid))
+        _kmachine_section(rep, outcome.stats, _parse_grid(args.k_grid))
     return rep.render()
 
 
@@ -388,7 +388,7 @@ def _cmd_cluster_auto(args, argv: list[str]) -> str:
     _sweep_section(rep, res.outcome.sweep)
     _rounds_section(rep, res.outcome.stats)
     if args.k_grid:
-        _kmachine_section(rep, res.outcome.stats, g, _parse_grid(args.k_grid))
+        _kmachine_section(rep, res.outcome.stats, _parse_grid(args.k_grid))
     return rep.render()
 
 
@@ -421,8 +421,6 @@ def _cmd_kmachine(args, argv: list[str]) -> str:
         total_messages=args.messages,
         max_node_messages=args.cdeg,
         rounds=args.rounds,
-        n=args.n,
-        max_degree=args.max_degree,
     )
     rep.section(
         "measurement",

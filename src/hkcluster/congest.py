@@ -178,8 +178,8 @@ def run_protocol(
     Raises SimulationError if a message addresses a non-neighbor or the
     round cap is exceeded.
     """
-    n = g.node_count
-    infos = [NodeInfo(v, n, g.edge_count, g.adjacency[v]) for v in range(n)]
+    n, m = g.node_count, g.edge_count
+    infos = [NodeInfo(v, n, m, g.adjacency[v]) for v in range(n)]
     nsets = g.neighbor_sets()
     states = {v: protocol.initial_state(infos[v]) for v in range(n)}
     inboxes: dict[int, list[tuple[int, Any]]] = {v: [] for v in range(n)}

@@ -1,15 +1,14 @@
 """Parallel random-walk diffusion as a message-passing protocol.
 
-The seed draws r truncated Poisson walk lengths up front; in each of K
-rounds every node forwards its live tokens to uniformly random neighbors
-and tokens whose budget is spent retire in place. Final token counts
-divided by r estimate the diffusion vector.
+The protocol runs the batched walk law of ``hkpr`` as node handlers: the
+seed splits r tokens into truncated Poisson length classes, and in each of
+K rounds every node splits its live (remaining, count) classes across its
+neighbors, while tokens whose budget is spent retire in place. Final token
+counts divided by r estimate the diffusion vector.
 
 Tokens carry no node IDs. Tokens with equal remaining budget crossing the
-same edge in the same round are merged into one (remaining, count) batch,
-and a batch leaving a node is split multinomially across its neighbors, so
-the per-token walk law is preserved while per-edge traffic stays at one
-small message per class.
+same edge in the same round travel as one (remaining, count) batch, so
+per-edge traffic stays at one small message per class.
 """
 
 from __future__ import annotations
@@ -17,25 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .congest import NodeInfo, Protocol, RoundContext, RoundStats, SimConfig, run_protocol, uint_bits
 from .graph import Graph
-from .hkpr import (
-    PhkprVector,
-    exact_phkpr,
-    serial_estimate_phkpr,
-    truncated_length_probs,
-    walk_parameters,
-)
+from .hkpr import PhkprVector, initial_classes, split_classes, walk_parameters
 
-__all__ = [
-    "TokenBatch",
-    "TokenWalkProtocol",
-    "estimate_phkpr_distributed",
-    "distribution_equivalence_check",
-    "EquivalenceReport",
-]
+__all__ = ["TokenBatch", "TokenWalkProtocol", "estimate_phkpr_distributed"]
 
 
 @dataclass(frozen=True)
@@ -65,25 +50,11 @@ class TokenWalkProtocol(Protocol):
         self.r = r
         self.cap = cap
         self.init_seed = init_seed
-        self._pvals: dict[int, np.ndarray] = {}
-
-    def _uniform_pvals(self, degree: int) -> np.ndarray:
-        p = self._pvals.get(degree)
-        if p is None:
-            p = np.full(degree, 1.0 / degree)
-            self._pvals[degree] = p
-        return p
 
     def initial_state(self, info: NodeInfo) -> _WalkState:
         state = _WalkState()
         if info.node == self.seed_node:
-            rng = np.random.default_rng((self.init_seed, 0x117))
-            probs = truncated_length_probs(self.t, self.cap)
-            counts = rng.multinomial(self.r, probs)
-            state.retired = int(counts[0])
-            for length in range(1, self.cap + 1):
-                if counts[length]:
-                    state.live[length] = int(counts[length])
+            state.retired, state.live = initial_classes(self.t, self.r, self.cap, self.init_seed)
         return state
 
     def handle_round(self, info, state: _WalkState, inbox, ctx: RoundContext):
@@ -101,14 +72,9 @@ class TokenWalkProtocol(Protocol):
             state.retired += sum(state.live.values())
             state.live.clear()
             return out
-        for remaining in sorted(state.live):
-            count = state.live[remaining]
-            split = ctx.rng.multinomial(count, self._uniform_pvals(info.degree))
-            batch_left = remaining - 1
-            for i, q in enumerate(split):
-                if q:
-                    batch = TokenBatch(batch_left, int(q))
-                    out.append((info.neighbors[i], batch, batch.bits))
+        for i, left, q in split_classes(state.live, info.degree, ctx.rng):
+            batch = TokenBatch(left, q)
+            out.append((info.neighbors[i], batch, batch.bits))
         state.live.clear()
         return out
 
@@ -138,8 +104,6 @@ def estimate_phkpr_distributed(
     """
     if not 0 <= seed_node < g.node_count:
         raise ValueError(f"seed node {seed_node} not in graph")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
     r, cap = walk_parameters(g.node_count, eps, c)
     protocol = TokenWalkProtocol(seed_node, t, r, cap, init_seed=config.seed)
     counts, stats = run_protocol(g, protocol, config, trace=trace)
@@ -154,52 +118,3 @@ def estimate_phkpr_distributed(
     )
     return vec, stats
 
-
-@dataclass
-class EquivalenceReport:
-    """Serial vs. message-passing estimator means against the exact vector."""
-
-    trials: int
-    serial_mean: dict[int, float]
-    distributed_mean: dict[int, float]
-    max_dev_serial: float
-    max_dev_distributed: float
-
-
-def distribution_equivalence_check(
-    g: Graph,
-    seed_node: int,
-    t: float,
-    eps: float,
-    trials: int,
-    base_seed: int = 0,
-) -> EquivalenceReport:
-    """Average both estimators over many seeds and compare per-node means
-    with the exact series oracle. Intended for small graphs (n <= 50)."""
-    if g.node_count > 50:
-        raise ValueError("equivalence check is a desk-scale harness (n <= 50)")
-    exact = exact_phkpr(g, seed_node, t, tol=1e-12)
-    n = g.node_count
-    serial_acc = np.zeros(n)
-    dist_acc = np.zeros(n)
-    for i in range(trials):
-        sv = serial_estimate_phkpr(g, seed_node, t, eps, rng=base_seed * 1_000_003 + i)
-        for v, val in sv.entries.items():
-            serial_acc[v] += float(val)
-        dv, _ = estimate_phkpr_distributed(
-            g, seed_node, t, eps, SimConfig(seed=base_seed).derived(0xE0, i)
-        )
-        for v, val in dv.entries.items():
-            dist_acc[v] += float(val)
-    serial_acc /= trials
-    dist_acc /= trials
-    exact_arr = np.zeros(n)
-    for v, val in exact.entries.items():
-        exact_arr[v] = val
-    return EquivalenceReport(
-        trials=trials,
-        serial_mean={v: float(serial_acc[v]) for v in range(n) if serial_acc[v] > 0},
-        distributed_mean={v: float(dist_acc[v]) for v in range(n) if dist_acc[v] > 0},
-        max_dev_serial=float(np.max(np.abs(serial_acc - exact_arr))),
-        max_dev_distributed=float(np.max(np.abs(dist_acc - exact_arr))),
-    )

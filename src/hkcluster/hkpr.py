@@ -1,37 +1,44 @@
-"""Heat kernel pagerank: exact truncated-series oracle and Monte Carlo
-walk machinery shared by the serial and message-passing estimators.
+"""Heat kernel pagerank: exact truncated-series oracle and the batched
+walk law shared by the serial and message-passing estimators.
 
 The diffusion vector for seed s and time t is the endpoint distribution of
 a lazy-free standard random walk whose length is Poisson(t): the series
 sum_k e^{-t} t^k/k! * (chi_s P^k) with P the degree-normalized transition
 matrix. "log" is the natural logarithm throughout.
+
+The Monte Carlo estimate follows r walks of length min(Poisson(t), K) as
+(remaining, count) classes rather than as single tokens: the seed splits
+the r tokens into length classes once (``initial_classes``), and in each of
+K rounds every node splits each live class multinomially over its
+neighbours (``split_classes``). The token-walk protocol runs these two
+steps as node handlers; ``serial_estimate_phkpr`` runs them centrally with
+the same random streams, so both return the same estimate for one seed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
+from .congest import RoundContext
 from .graph import Graph
 
 __all__ = [
     "PhkprVector",
     "exact_phkpr",
-    "sample_walk_length",
-    "poisson_draws",
+    "initial_classes",
+    "split_classes",
     "serial_estimate_phkpr",
     "walk_parameters",
     "token_count",
     "step_cap",
     "truncated_length_probs",
 ]
-
-# Inversion by sequential search stays exact and fast up to this mean;
-# larger means are drawn as sums of independent chunks (Poisson additivity).
-_INVERSION_MEAN_CAP = 30.0
 
 
 @dataclass
@@ -49,7 +56,6 @@ class PhkprVector:
     kind: str
     num_walks: int | None = None
     step_cap: int | None = None
-    _meta: dict = field(default_factory=dict, repr=False, compare=False)
 
     def value(self, v: int):
         return self.entries.get(v, 0)
@@ -100,51 +106,7 @@ def walk_parameters(n: int, eps: float, c: float = 1.0) -> tuple[int, int]:
     return token_count(n, eps), step_cap(eps, c)
 
 
-# -- Poisson sampling ---------------------------------------------------------
-
-
-def _poisson_cdf_table(t: float) -> np.ndarray:
-    """CDF values F[k] = P(Poisson(t) <= k) until saturation at 1.0."""
-    values = []
-    p = math.exp(-t)
-    total = p
-    k = 0
-    values.append(total)
-    # float64 saturates well before this bound for any t <= cap
-    limit = int(t + 40 * math.sqrt(t + 1) + 60)
-    while total < 1.0 and k < limit:
-        k += 1
-        p *= t / k
-        total += p
-        values.append(min(total, 1.0))
-    values[-1] = 1.0
-    return np.array(values)
-
-
-def poisson_draws(t: float, size: int, rng: np.random.Generator) -> np.ndarray:
-    """size i.i.d. Poisson(t) draws via inversion by sequential search.
-
-    For t above the inversion cap the mean is split into chunks of at most
-    the cap and independent chunk draws are summed, which is exact.
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if t == 0:
-        return np.zeros(size, dtype=np.int64)
-    if t <= _INVERSION_MEAN_CAP:
-        cdf = _poisson_cdf_table(t)
-        u = rng.random(size)
-        return np.searchsorted(cdf, u, side="left").astype(np.int64)
-    pieces = math.ceil(t / _INVERSION_MEAN_CAP)
-    out = np.zeros(size, dtype=np.int64)
-    for i in range(pieces):
-        out += poisson_draws(t / pieces, size, rng)
-    return out
-
-
-def sample_walk_length(t: float, rng: np.random.Generator) -> int:
-    """One Poisson(t) walk length; reproducible given a seeded generator."""
-    return int(poisson_draws(t, 1, rng)[0])
+# -- the walk law ------------------------------------------------------------
 
 
 def _log_pmf(k: int, t: float) -> float:
@@ -160,6 +122,45 @@ def truncated_length_probs(t: float, cap: int) -> np.ndarray:
     return probs
 
 
+def _check_t(t: float) -> None:
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
+
+
+def initial_classes(t: float, r: int, cap: int, seed: int) -> tuple[int, dict[int, int]]:
+    """The seed's split of r tokens by walk length min(Poisson(t), cap).
+
+    Returns (tokens of length 0, {length: count} for the live lengths
+    1..cap). The draw comes from its own stream of the run seed, apart
+    from the per-round streams that ``split_classes`` uses.
+    """
+    _check_t(t)
+    counts = np.random.default_rng((seed, 0x117)).multinomial(r, truncated_length_probs(t, cap))
+    return int(counts[0]), {k: int(counts[k]) for k in range(1, cap + 1) if counts[k]}
+
+
+@functools.lru_cache(maxsize=256)
+def _uniform(degree: int) -> np.ndarray:
+    p = np.full(degree, 1.0 / degree)
+    p.flags.writeable = False
+    return p
+
+
+def split_classes(
+    live: dict[int, int], degree: int, rng: np.random.Generator
+) -> Iterator[tuple[int, int, int]]:
+    """One node's round: each live class, in ascending order of remaining
+    steps, is split multinomially over the node's degree >= 1 neighbours.
+
+    Yields (neighbour index, remaining - 1, count) for every nonzero share.
+    """
+    for remaining in sorted(live):
+        shares = rng.multinomial(live[remaining], _uniform(degree))
+        for i, q in enumerate(shares.tolist()):
+            if q:
+                yield i, remaining - 1, q
+
+
 # -- exact oracle -------------------------------------------------------------
 
 
@@ -172,8 +173,7 @@ def exact_phkpr(g: Graph, seed: int, t: float, tol: float = 1e-9) -> PhkprVector
     """
     if not 0 <= seed < g.node_count:
         raise ValueError(f"seed {seed} not in graph")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    _check_t(t)
     if not 0 < tol < 1:
         raise ValueError("tol must be in (0, 1)")
     n = g.node_count
@@ -204,10 +204,7 @@ def exact_phkpr(g: Graph, seed: int, t: float, tol: float = 1e-9) -> PhkprVector
         walk = stepped
         k += 1
     entries = {int(v): float(acc[v]) for v in np.nonzero(acc)[0]}
-    vec = PhkprVector(seed=seed, t=t, entries=entries, kind="exact")
-    vec._meta["series_terms"] = k + 1
-    vec._meta["tol"] = tol
-    return vec
+    return PhkprVector(seed=seed, t=t, entries=entries, kind="exact")
 
 
 # -- serial Monte Carlo estimator ---------------------------------------------
@@ -218,42 +215,40 @@ def serial_estimate_phkpr(
     seed: int,
     t: float,
     eps: float,
-    rng: np.random.Generator | int,
+    rng: int,
     c: float = 1.0,
 ) -> PhkprVector:
-    """Estimate the diffusion by r independent random walks of length
-    min(Poisson(t), K), counting end vertices.
+    """Estimate the diffusion by running the batched walk law centrally.
 
-    Entries are exact rationals count/r, so they sum to exactly 1. Walks
-    are executed as vectorized independent token steps from one stream.
+    The active nodes of each of the K rounds are stepped in ascending ID
+    order with that round's stream of the integer seed ``rng``, exactly as
+    the token-walk protocol steps them, so the entries (exact rationals
+    count/r summing to 1) equal those of ``estimate_phkpr_distributed``
+    with ``SimConfig(seed=rng)``. No round ledger is kept.
     """
     if not 0 <= seed < g.node_count:
         raise ValueError(f"seed {seed} not in graph")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
     r, cap = walk_parameters(g.node_count, eps, c)
-    lengths = np.minimum(poisson_draws(t, r, rng), cap)
-    flat, offsets, degrees = g.csr_arrays()
-    pos = np.full(r, seed, dtype=np.int64)
-    for step in range(1, cap + 1):
-        moving = lengths >= step
-        cur = pos[moving]
-        if cur.size == 0:
-            break
-        d = degrees[cur]
-        ok = d > 0  # isolated node (n == 1 only) holds its tokens
-        if not ok.all():
-            cur = cur[ok]
-            if cur.size == 0:
+    retired, live = initial_classes(t, r, cap, rng)
+    counts = {seed: retired}
+    active = {seed: live}
+    for round_no in range(1, cap + 1):
+        ctx = RoundContext(rng, round_no)
+        arriving: dict[int, dict[int, int]] = {}
+        for v in sorted(active):
+            neighbors = g.adjacency[v]
+            if not neighbors:  # single-node graph: walks cannot move
+                counts[v] += sum(active[v].values())
                 continue
-            pick = rng.integers(0, degrees[cur])
-            idx = np.flatnonzero(moving)[ok]
-            pos[idx] = flat[offsets[cur] + pick]
-        else:
-            pick = rng.integers(0, d)
-            pos[moving] = flat[offsets[cur] + pick]
-    counts = np.bincount(pos, minlength=g.node_count)
-    entries = {int(v): Fraction(int(counts[v]), r) for v in np.nonzero(counts)[0]}
+            for i, left, q in split_classes(active[v], len(neighbors), ctx.rng):
+                w = neighbors[i]
+                if left:
+                    classes = arriving.setdefault(w, {})
+                    classes[left] = classes.get(left, 0) + q
+                else:
+                    counts[w] = counts.get(w, 0) + q
+        active = arriving
+    entries = {v: Fraction(cnt, r) for v, cnt in counts.items() if cnt > 0}
     return PhkprVector(
         seed=seed, t=t, entries=entries, kind="estimated", num_walks=r, step_cap=cap
     )

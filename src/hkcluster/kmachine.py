@@ -22,8 +22,6 @@ class CostMeasurement:
     total_messages: int
     max_node_messages: int
     rounds: int
-    n: int
-    max_degree: int
 
     def __post_init__(self):
         if min(self.total_messages, self.max_node_messages, self.rounds) < 0:
@@ -32,13 +30,11 @@ class CostMeasurement:
             raise ValueError("per-node message count cannot exceed the total")
 
     @staticmethod
-    def from_stats(stats: RoundStats, n: int, max_degree: int) -> "CostMeasurement":
+    def from_stats(stats: RoundStats) -> "CostMeasurement":
         return CostMeasurement(
             total_messages=stats.total_messages,
             max_node_messages=stats.max_node_messages,
             rounds=stats.rounds,
-            n=n,
-            max_degree=max_degree,
         )
 
 

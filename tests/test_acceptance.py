@@ -187,7 +187,7 @@ def test_criterion_6_conservation_and_support():
 def test_criterion_7_kmachine_bounds():
     with Budget(1) as b:
         direct = kmachine_round_bound(
-            CostMeasurement(total_messages=1000, max_node_messages=100, rounds=10, n=0, max_degree=0),
+            CostMeasurement(total_messages=1000, max_node_messages=100, rounds=10),
             10,
         )
         assert direct == 110.0
@@ -196,7 +196,7 @@ def test_criterion_7_kmachine_bounds():
         K = step_cap(0.1)
         k = 8
         symbolic_walk = kmachine_round_bound(
-            CostMeasurement(total_messages=r * K, max_node_messages=r, rounds=K, n=1000, max_degree=12),
+            CostMeasurement(total_messages=r * K, max_node_messages=r, rounds=K),
             k,
         )
         assert symbolic_walk == pytest.approx((1 / k) * (1 / k + 1) * r * K)
@@ -207,8 +207,6 @@ def test_criterion_7_kmachine_bounds():
                 total_messages=r * K + 10,
                 max_node_messages=max(r, delta),
                 rounds=K + 10,
-                n=1000,
-                max_degree=delta,
             ),
             k,
         )
@@ -227,7 +225,7 @@ def _measured_cluster_cost() -> CostMeasurement:
     assert g.max_degree == 12
     req = ClusterRequest(seed=250, size_cap=n, volume_cap=2 * g.edge_count, phi=0.25, eps=0.1)
     out = local_cluster(g, req, SimConfig(seed=77))
-    return CostMeasurement.from_stats(out.stats, n, g.max_degree)
+    return CostMeasurement.from_stats(out.stats)
 
 
 def test_criterion_8_cli_determinism():

@@ -112,6 +112,26 @@ def test_graph_errors_exit_one(tmp_path):
     rc, _, err = run_cli(["hkpr", str(tmp_path / "missing.txt"), "--seed-node", "0",
                           "--t", "1", "--eps", "0.1", "--seed", "1"])
     assert rc == 1
+    for spec in ["gen:path", "gen:cycle", "gen:clique", "gen:two-cliques", "gen:random"]:
+        rc, _, err = run_cli(["hkpr-exact", spec, "--seed-node", "0", "--t", "1"])
+        assert rc == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hkpr", "gen:karate", "--seed-node", "0", "--t", "nan", "--eps", "0.1", "--seed", "1"],
+        ["hkpr", "gen:karate", "--seed-node", "0", "--t", "nan", "--eps", "0.1", "--seed", "1",
+         "--serial"],
+        ["hkpr-exact", "gen:karate", "--seed-node", "0", "--t", "inf"],
+    ],
+)
+def test_non_finite_t_exits_one(argv):
+    rc, out, err = run_cli(argv)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_disconnected_file_exit_one(tmp_path):

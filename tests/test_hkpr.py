@@ -8,14 +8,13 @@ from scipy import stats as sps
 from hkcluster import (
     Graph,
     exact_phkpr,
-    poisson_draws,
-    sample_walk_length,
     serial_estimate_phkpr,
     step_cap,
     token_count,
     walk_parameters,
 )
 from hkcluster.generators import complete_graph, karate_club_graph
+from hkcluster.hkpr import initial_classes
 
 from helpers import dense_phkpr, eps_approximate, random_graph_pool
 
@@ -51,50 +50,26 @@ def test_walk_parameters_domain():
         token_count(1000, 1.0)
 
 
-# -- Poisson sampling ---------------------------------------------------------
-
-
-def test_degenerate_poisson():
-    rng = np.random.default_rng(0)
-    assert sample_walk_length(0.0, rng) == 0
-    assert poisson_draws(0.0, 100, rng).sum() == 0
-
-
-def test_poisson_mean_large_sample():
-    rng = np.random.default_rng(123)
-    draws = poisson_draws(5.0, 10**6, rng)
-    assert abs(draws.mean() - 5.0) <= 3 * math.sqrt(5.0 / 10**6)
+# -- walk lengths ---------------------------------------------------------------
 
 
 def test_poisson_chi_square_goodness_of_fit():
-    rng = np.random.default_rng(7)
-    t = 3.0
-    draws = poisson_draws(t, 10**6, rng)
-    top = int(draws.max())
-    observed = np.bincount(draws, minlength=top + 1).astype(float)
-    expected = sps.poisson.pmf(np.arange(top + 1), t) * len(draws)
-    expected[-1] += sps.poisson.sf(top, t) * len(draws)
-    # merge the sparse tail so every expected count is at least 5
-    while expected[-1] < 5:
-        expected[-2] += expected[-1]
-        observed[-2] += observed[-1]
-        expected, observed = expected[:-1], observed[:-1]
-    stat = ((observed - expected) ** 2 / expected).sum()
-    assert stat < sps.chi2.ppf(0.999, df=len(expected) - 1)
-
-
-def test_poisson_chunked_branch_matches_distribution():
-    rng = np.random.default_rng(21)
-    t = 45.0  # above the inversion cap: exercised via chunk additivity
-    draws = poisson_draws(t, 2 * 10**5, rng)
-    assert abs(draws.mean() - t) <= 4 * math.sqrt(t / len(draws))
-    assert abs(draws.var() - t) <= 0.05 * t
-
-
-def test_scalar_sampler_reproducible():
-    a = [sample_walk_length(2.5, np.random.default_rng(99)) for _ in range(5)]
-    b = [sample_walk_length(2.5, np.random.default_rng(99)) for _ in range(5)]
-    assert a == b
+    # the seed's class split against min(Poisson(t), K) from scipy, with K
+    # low enough that the truncated tail is a class of its own
+    r = 10**6
+    for seed, (t, cap) in enumerate([(3.0, 6), (45.0, 50)]):
+        retired, live = initial_classes(t, r, cap, seed)
+        observed = np.array([retired] + [live.get(k, 0) for k in range(1, cap + 1)], dtype=float)
+        probs = sps.poisson.pmf(np.arange(cap + 1), t)
+        probs[cap] = sps.poisson.sf(cap - 1, t)
+        expected = probs * r
+        # merge the sparse short lengths so every expected count is at least 5
+        while expected[0] < 5:
+            expected[1] += expected[0]
+            observed[1] += observed[0]
+            expected, observed = expected[1:], observed[1:]
+        stat = ((observed - expected) ** 2 / expected).sum()
+        assert stat < sps.chi2.ppf(0.999, df=len(expected) - 1)
 
 
 # -- exact oracle ---------------------------------------------------------------

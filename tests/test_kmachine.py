@@ -12,10 +12,8 @@ from hkcluster import (
 from hkcluster.generators import random_connected_graph
 
 
-def meas(M, C, T, n=0, delta=0):
-    return CostMeasurement(
-        total_messages=M, max_node_messages=C, rounds=T, n=n, max_degree=delta
-    )
+def meas(M, C, T):
+    return CostMeasurement(total_messages=M, max_node_messages=C, rounds=T)
 
 
 def test_direct_formula_value():
@@ -52,7 +50,7 @@ def test_measured_run_is_within_symbolic_budget():
     vec, stats = estimate_phkpr_distributed(g, 0, 5.0, 0.1, SimConfig(seed=1))
     r = token_count(g.node_count, 0.1)
     K = step_cap(0.1)
-    measured = CostMeasurement.from_stats(stats, g.node_count, g.max_degree)
+    measured = CostMeasurement.from_stats(stats)
     symbolic = meas(r * K, r, K)
     for k in (2, 8, 32):
         assert kmachine_round_bound(measured, k) <= kmachine_round_bound(symbolic, k)
