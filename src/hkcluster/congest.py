@@ -13,13 +13,19 @@ payload carries an explicit bit size. Two accounting modes:
 Execution is sequential over nodes in ascending ID order with one derived
 random stream per round, so identical (graph, protocol, config) always
 reproduces identical outputs and statistics.
+
+Scheduling follows the work, not the graph size. Round 1 steps every node.
+From round 2 on, a round steps only the nodes that are unfinished or have
+mail, and ``finished`` is re-evaluated only for nodes that were stepped or
+received mail. Nodes that sleep draw nothing from the round's stream, so
+the active nodes draw it in the same order as if every node were stepped.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -58,6 +64,10 @@ class SimConfig:
     def __post_init__(self):
         if self.mode not in ("paper", "strict"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if not (math.isfinite(self.bandwidth_beta) and self.bandwidth_beta > 0):
+            raise ValueError(
+                f"bandwidth_beta must be finite and positive, got {self.bandwidth_beta}"
+            )
         if self.bandwidth_bits is not None and self.bandwidth_bits < 1:
             raise ValueError("bandwidth_bits must be at least 1")
 
@@ -139,10 +149,15 @@ class Protocol:
 
     Subclasses define initial per-node state, a per-round handler mapping
     (state, inbox) to outgoing (dest, payload, bits) triples, a termination
-    predicate, and an output extractor. The handler runs every round for
-    every node whose ``finished`` is false; ``finished`` may consult the
-    still-unprocessed inbox so that passively received data can terminate a
-    node without an extra round.
+    predicate, and an output extractor. The handler runs in round 1 for
+    every node and afterwards for every node whose ``finished`` is false or
+    that has mail; ``finished`` may consult the still-unprocessed inbox so
+    that passively received data can terminate a node without an extra
+    round.
+
+    The simulator relies on this contract: a finished node stays finished
+    until mail arrives, and its handler with an empty inbox is a no-op (it
+    sends nothing, changes no state and draws no randomness).
     """
 
     def initial_state(self, info: NodeInfo) -> Any:
@@ -182,30 +197,33 @@ def run_protocol(
     infos = [NodeInfo(v, n, m, g.adjacency[v]) for v in range(n)]
     nsets = g.neighbor_sets()
     states = {v: protocol.initial_state(infos[v]) for v in range(n)}
-    inboxes: dict[int, list[tuple[int, Any]]] = {v: [] for v in range(n)}
+    inboxes: dict[int, list[tuple[int, Any]]] = {}  # only nodes with mail
     bandwidth = config.edge_bandwidth(n)
     stats = RoundStats()
     round_no = 0
-
-    def all_finished() -> bool:
-        return all(
-            protocol.finished(infos[v], states[v], inboxes[v], round_no)
-            for v in range(n)
-        )
-
-    while not all_finished():
+    unfinished: set[int] = set()
+    recheck: Iterable[int] = range(n)  # nodes whose ``finished`` may have changed
+    while True:
+        for v in recheck:
+            if protocol.finished(infos[v], states[v], inboxes.get(v, []), round_no):
+                unfinished.discard(v)
+            else:
+                unfinished.add(v)
+        if not unfinished:
+            break
         if round_no >= config.round_cap:
             raise SimulationError(
                 f"non-termination suspected: round cap {config.round_cap} reached"
             )
         round_no += 1
         ctx = RoundContext(config.seed, round_no)
-        next_inboxes: dict[int, list[tuple[int, Any]]] = {v: [] for v in range(n)}
+        active = range(n) if round_no == 1 else sorted(unfinished.union(inboxes))
+        next_inboxes: dict[int, list[tuple[int, Any]]] = {}
         edge_bits: dict[tuple[int, int], int] = {}
         node_msgs: dict[int, int] = {}
         sent_this_round = 0
-        for v in range(n):
-            out = protocol.handle_round(infos[v], states[v], inboxes[v], ctx)
+        for v in active:
+            out = protocol.handle_round(infos[v], states[v], inboxes.get(v, []), ctx)
             if not out:
                 continue
             for dest, payload, bits in out:
@@ -213,7 +231,7 @@ def run_protocol(
                     raise SimulationError(
                         f"node {v} sent a message to non-neighbor {dest}"
                     )
-                next_inboxes[dest].append((v, payload))
+                next_inboxes.setdefault(dest, []).append((v, payload))
                 sent_this_round += 1
                 key = (v, dest)
                 edge_bits[key] = edge_bits.get(key, 0) + bits
@@ -222,6 +240,7 @@ def run_protocol(
                 if trace is not None:
                     trace.append((round_no, v, dest, bits))
         inboxes = next_inboxes
+        recheck = set(active).union(inboxes)
         stats.total_messages += sent_this_round
         if node_msgs:
             stats.max_node_messages = max(
@@ -236,6 +255,6 @@ def run_protocol(
                 stats.congestion_events += 1
         stats.rounds += round_cost
     outputs = {
-        v: protocol.finalize(infos[v], states[v], inboxes[v]) for v in range(n)
+        v: protocol.finalize(infos[v], states[v], inboxes.get(v, [])) for v in range(n)
     }
     return outputs, stats

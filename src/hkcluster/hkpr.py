@@ -92,8 +92,8 @@ def step_cap(eps: float, c: float = 1.0) -> int:
     """
     if not 0 < eps < 0.5:
         raise ValueError("eps must be in (0, 1/2)")
-    if c < 1:
-        raise ValueError("c must be at least 1")
+    if not (math.isfinite(c) and c >= 1):
+        raise ValueError(f"c must be finite and at least 1, got {c}")
     loglog = math.log(math.log(1.0 / eps))
     denom = loglog if loglog > 0 else 1.0
     return max(1, math.ceil(c * 2.0 * math.log(1.0 / eps) / denom))

@@ -479,12 +479,12 @@ class SweepProtocol(Protocol):
     # -- termination -------------------------------------------------------------
 
     def finished(self, info, state: _SweepState, pending, round_no: int) -> bool:
-        if round_no < self.announce_round:
-            return False
         if pending or state.chain_pending is not None:
             return False
         if state.best_prio is None:
-            return True
+            return True  # outside the flood region: asleep until mail arrives
+        if round_no < self.announce_round:
+            return False
         if state.up_items or state.flood_buf:
             return False
         if state.parent is None:  # root

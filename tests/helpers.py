@@ -1,18 +1,29 @@
 """Shared oracles for the test suite.
 
 These deliberately take different routes than the library: the diffusion
-oracle uses dense explicit matrix powers with scipy Poisson weights, and
-the sweep oracle rescans every prefix from scratch.
+oracle uses dense explicit matrix powers with scipy Poisson weights, the
+sweep oracle rescans every prefix from scratch, and the schedule oracle
+steps every node in every round.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from typing import Any
 
 import numpy as np
 from scipy import stats as sps
 
 from hkcluster import Graph, PhkprVector
+from hkcluster.congest import (
+    NodeInfo,
+    Protocol,
+    RoundContext,
+    RoundStats,
+    SimConfig,
+    SimulationError,
+)
 from hkcluster.generators import random_connected_graph
 
 
@@ -90,3 +101,85 @@ def random_graph_pool(count: int, max_n: int, base_seed: int = 0) -> list[Graph]
         extra = int(rng.integers(0, 2 * n))
         graphs.append(random_connected_graph(n, extra, seed=int(rng.integers(0, 2**31))))
     return graphs
+
+
+def ring_of_cliques(cliques: int, size: int) -> Graph:
+    """Cliques of ``size`` nodes; the last node of each clique is joined to
+    the first node of the next one, closing a ring."""
+    edges = []
+    for b in range(cliques):
+        base = b * size
+        edges += [(base + i, base + j) for i in range(size) for j in range(i + 1, size)]
+        edges.append((base + size - 1, ((b + 1) % cliques) * size))
+    return Graph.from_edges(cliques * size, edges)
+
+
+def every_node_run_protocol(
+    g: Graph,
+    protocol: Protocol,
+    config: SimConfig,
+    trace: list[tuple[int, int, int, int]] | None = None,
+) -> tuple[dict[int, Any], RoundStats]:
+    """Reference schedule for ``congest.run_protocol``: every round steps all
+    n nodes, builds n inboxes and polls ``finished`` on every node."""
+    n, m = g.node_count, g.edge_count
+    infos = [NodeInfo(v, n, m, g.adjacency[v]) for v in range(n)]
+    nsets = g.neighbor_sets()
+    states = {v: protocol.initial_state(infos[v]) for v in range(n)}
+    inboxes: dict[int, list[tuple[int, Any]]] = {v: [] for v in range(n)}
+    bandwidth = config.edge_bandwidth(n)
+    stats = RoundStats()
+    round_no = 0
+
+    def all_finished() -> bool:
+        return all(
+            protocol.finished(infos[v], states[v], inboxes[v], round_no)
+            for v in range(n)
+        )
+
+    while not all_finished():
+        if round_no >= config.round_cap:
+            raise SimulationError(
+                f"non-termination suspected: round cap {config.round_cap} reached"
+            )
+        round_no += 1
+        ctx = RoundContext(config.seed, round_no)
+        next_inboxes: dict[int, list[tuple[int, Any]]] = {v: [] for v in range(n)}
+        edge_bits: dict[tuple[int, int], int] = {}
+        node_msgs: dict[int, int] = {}
+        sent_this_round = 0
+        for v in range(n):
+            out = protocol.handle_round(infos[v], states[v], inboxes[v], ctx)
+            if not out:
+                continue
+            for dest, payload, bits in out:
+                if dest not in nsets[v]:
+                    raise SimulationError(
+                        f"node {v} sent a message to non-neighbor {dest}"
+                    )
+                next_inboxes[dest].append((v, payload))
+                sent_this_round += 1
+                key = (v, dest)
+                edge_bits[key] = edge_bits.get(key, 0) + bits
+                node_msgs[v] = node_msgs.get(v, 0) + 1
+                node_msgs[dest] = node_msgs.get(dest, 0) + 1
+                if trace is not None:
+                    trace.append((round_no, v, dest, bits))
+        inboxes = next_inboxes
+        stats.total_messages += sent_this_round
+        if node_msgs:
+            stats.max_node_messages = max(
+                stats.max_node_messages, max(node_msgs.values())
+            )
+        round_cost = 1
+        if edge_bits:
+            worst = max(edge_bits.values())
+            stats.max_edge_bits = max(stats.max_edge_bits, worst)
+            if config.mode == "strict" and worst > bandwidth:
+                round_cost = math.ceil(worst / bandwidth)
+                stats.congestion_events += 1
+        stats.rounds += round_cost
+    outputs = {
+        v: protocol.finalize(infos[v], states[v], inboxes[v]) for v in range(n)
+    }
+    return outputs, stats

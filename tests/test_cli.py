@@ -134,6 +134,18 @@ def test_non_finite_t_exits_one(argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--c", "inf"), ("--c", "nan"), ("--beta", "inf"), ("--beta", "nan"),
+     ("--beta", "0"), ("--beta", "-1")],
+)
+def test_bad_c_or_beta_exits_one(flag, value):
+    rc, out, err = run_cli(HKPR_ARGS + [flag, value])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_disconnected_file_exit_one(tmp_path):
     bad = tmp_path / "disc.txt"
     bad.write_text("0 1\n2 3\n")

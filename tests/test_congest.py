@@ -2,9 +2,27 @@ import dataclasses
 
 import pytest
 
-from hkcluster import Graph, SimConfig, SimulationError
+from hkcluster import (
+    ClusterRequest,
+    Graph,
+    SimConfig,
+    SimulationError,
+    chain_sweep,
+    distributed,
+    distributed_sweep,
+    estimate_phkpr_distributed,
+    local_cluster,
+    sweep,
+)
 from hkcluster.congest import Protocol, RoundStats, run_protocol, uint_bits
-from hkcluster.generators import path_graph
+from hkcluster.generators import (
+    karate_club_graph,
+    path_graph,
+    random_connected_graph,
+    two_clique_bridge,
+)
+
+from helpers import every_node_run_protocol, ring_of_cliques
 
 
 class Flood(Protocol):
@@ -179,3 +197,96 @@ def test_stats_merge():
     b = RoundStats(rounds=2, total_messages=5, max_node_messages=6, max_edge_bits=2, congestion_events=1)
     m = a.merge(b)
     assert dataclasses.astuple(m) == (5, 15, 6, 9, 1)
+
+
+# -- active-set schedule ------------------------------------------------------
+
+SCHEDULE_GRAPHS = {
+    "karate": karate_club_graph,
+    "two-cliques:20": lambda: two_clique_bridge(20),
+    "random-300": lambda: random_connected_graph(300, 600),
+    "ring-10xK20": lambda: ring_of_cliques(10, 20),
+}
+
+
+class BothSchedules:
+    """``run_protocol`` stand-in: runs the active-set schedule and the
+    every-node reference on the same protocol and requires identical
+    outputs, ledgers and trace rows."""
+
+    def __init__(self):
+        self.runs = 0
+
+    def __call__(self, g, protocol, config, trace=None):
+        rows, ref_rows = [], []
+        got = run_protocol(g, protocol, config, trace=rows)
+        assert got == every_node_run_protocol(g, protocol, config, trace=ref_rows)
+        assert rows == ref_rows
+        self.runs += 1
+        if trace is not None:
+            trace.extend(rows)
+        return got
+
+
+@pytest.mark.parametrize(
+    "config_kwargs",
+    [{"mode": "paper"}, {"mode": "strict", "bandwidth_bits": 4}],
+    ids=["paper", "strict-4"],
+)
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("graph", list(SCHEDULE_GRAPHS))
+def test_active_set_schedule_matches_every_node_reference(
+    monkeypatch, graph, seed, config_kwargs
+):
+    g = SCHEDULE_GRAPHS[graph]()
+    cfg = SimConfig(seed=seed, **config_kwargs)
+    both = BothSchedules()
+    monkeypatch.setattr(distributed, "run_protocol", both)
+    monkeypatch.setattr(sweep, "run_protocol", both)
+    both(path_graph(g.node_count), Flood(), cfg)  # Flood ends only on a path
+    for protocol in (Idle(), OneShot(5)):
+        both(g, protocol, cfg)
+    vec, _ = estimate_phkpr_distributed(g, 37 * seed % g.node_count, 3.0, 0.1, cfg)
+    distributed_sweep(g, vec, 0.1, cfg.derived(1))
+    chain_sweep(g, vec, size_cap=20, volume_cap=20 * 19 + 2, config=cfg.derived(2))
+    assert both.runs == 6
+
+
+class CountingProtocol(Protocol):
+    """Delegates to ``inner`` and counts handler calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.handler_calls = 0
+
+    def initial_state(self, info):
+        return self.inner.initial_state(info)
+
+    def handle_round(self, info, state, inbox, ctx):
+        self.handler_calls += 1
+        return self.inner.handle_round(info, state, inbox, ctx)
+
+    def finished(self, info, state, pending, round_no):
+        return self.inner.finished(info, state, pending, round_no)
+
+    def finalize(self, info, state, pending):
+        return self.inner.finalize(info, state, pending)
+
+
+def test_chain_sweep_steps_only_busy_nodes_on_a_large_ring(monkeypatch):
+    g = ring_of_cliques(100, 20)
+    runs = []
+
+    def counted(graph, protocol, config, trace=None):
+        counting = CountingProtocol(protocol)
+        outputs, stats = run_protocol(graph, counting, config, trace)
+        runs.append((counting.handler_calls, stats.rounds))
+        return outputs, stats
+
+    monkeypatch.setattr(sweep, "run_protocol", counted)
+    req = ClusterRequest(seed=21, size_cap=20, volume_cap=20 * 19 + 2, phi=1 / 191, eps=0.01)
+    outcome = local_cluster(g, req, SimConfig(seed=3))
+    assert outcome.sweep.meta["mode"] == "chain"
+    [(calls, rounds)] = runs
+    # the every-node schedule makes n calls per round
+    assert calls < g.node_count * rounds / 10

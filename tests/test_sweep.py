@@ -18,6 +18,7 @@ from hkcluster.generators import (
     complete_graph,
     karate_club_graph,
     path_graph,
+    random_connected_graph,
     two_clique_bridge,
 )
 
@@ -136,6 +137,28 @@ def test_round_bound_linear_in_inverse_eps_and_radius():
         radius = res.meta["support_radius"]
         assert radius <= vec.step_cap
         assert stats.rounds <= a * math.ceil(1 / eps) + b * max(radius, 1) + const
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 2: the tree sweep upcasts every support value before "
+    "truncating, so its rounds grow with the support size (115 rounds against a "
+    "bound of 102 at n = 500, 412 against 114 at n = 2000)",
+)
+@pytest.mark.parametrize("n", [500, 2000])
+def test_round_bound_at_scale(n):
+    g = random_connected_graph(n, 2 * n, seed=1)
+    cfg = SimConfig(seed=1)
+    eps = 0.1
+    vec, _ = estimate_phkpr_distributed(g, 0, 3.0, eps, cfg)
+    res, stats = distributed_sweep(g, vec, eps, cfg)
+    a = res.meta["round_bound_a"]
+    b = res.meta["round_bound_b"]
+    const = res.meta["round_bound_const"]
+    radius = res.meta["support_radius"]
+    assert radius <= vec.step_cap
+    assert stats.rounds <= a * math.ceil(1 / eps) + b * max(radius, 1) + const
 
 
 def test_phase_two_ledger_bounds():
