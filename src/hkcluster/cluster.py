@@ -60,8 +60,8 @@ class ClusterRequest:
             raise ValueError("phi must be in (0, 1]")
         if not 0 < self.eps < 0.5:
             raise ValueError("eps must be in (0, 1/2)")
-        if self.c2 <= 0:
-            raise ValueError("c2 must be positive")
+        if not (math.isfinite(self.c2) and self.c2 > 0):
+            raise ValueError("c2 must be finite and positive")
 
 
 @dataclass

@@ -96,7 +96,10 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(len(a) for a in self.adjacency) // 2
+        cached = self._cache.get("m")
+        if cached is None:
+            cached = self._cache["m"] = sum(len(a) for a in self.adjacency) // 2
+        return cached
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -108,7 +111,7 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
 
-    # -- cached array views (used by the walk estimators) -------------------
+    # -- cached views (used by the walk estimators and the sweep) ----------
 
     def csr_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return (flat_neighbors, offsets, degrees) as int64 arrays."""
@@ -124,6 +127,15 @@ class Graph:
             )
             cached = (flat, offsets, degrees)
             self._cache["csr"] = cached
+        return cached
+
+    def arc_sources(self) -> np.ndarray:
+        """Source node of each arc in ``csr_arrays`` order, as int64."""
+        cached = self._cache.get("src")
+        if cached is None:
+            degrees = self.csr_arrays()[2]
+            cached = np.repeat(np.arange(self.node_count, dtype=np.int64), degrees)
+            self._cache["src"] = cached
         return cached
 
     def neighbor_sets(self) -> tuple[frozenset[int], ...]:

@@ -177,9 +177,8 @@ def exact_phkpr(g: Graph, seed: int, t: float, tol: float = 1e-9) -> PhkprVector
     if not 0 < tol < 1:
         raise ValueError("tol must be in (0, 1)")
     n = g.node_count
-    flat, offsets, degrees = g.csr_arrays()
-    # source node of each directed arc, for the scatter step
-    src = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    flat, _, degrees = g.csr_arrays()
+    src = g.arc_sources()  # for the scatter step
     safe_deg = np.maximum(degrees, 1)
 
     walk = np.zeros(n)

@@ -49,6 +49,8 @@ def kmachine_table(
     meas: CostMeasurement, k_grid: list[int]
 ) -> list[tuple[int, float, str]]:
     """(k, bound, dominating term) rows over the given machine counts."""
+    if any(k < 2 for k in k_grid):
+        raise ValueError("k must be at least 2")
     rows = []
     for k in k_grid:
         message_term = meas.total_messages / k**2

@@ -8,9 +8,17 @@ inside S_{j-1} / outside S_j,
     boundary(S_j) = boundary(S_{j-1}) - L_j + R_j      (base: d_1)
     vol(S_j)      = vol(S_{j-1})      + L_j + R_j      (base: d_1)
 
+The centralized ranking (``build_ordering``) is exact without sorting
+rationals: each node is keyed by the correctly rounded float of its rank
+(value/degree, divided as integers when the value is rational). Rounding
+is monotone, so one float sort places every node except inside runs of
+equal float keys, and only those runs are re-sorted by the exact rank.
+
 Three evaluation routes share those recursions:
 
-* ``sweep_exact``       -- centralized oracle, pure function.
+* ``sweep_exact``       -- centralized oracle, pure function; L_j is counted
+  over the CSR arcs of the scored prefix only, so a capped sweep reads the
+  arcs of its prefix and not the whole graph.
 * ``distributed_sweep`` -- two-phase protocol: a priority BFS tree over the
   support is built (higher value/degree wins the root), ranked values are
   upcast to the root, the root sorts and floods the ordering back, then
@@ -34,6 +42,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
 from typing import Any
+
+import numpy as np
 
 from .congest import NodeInfo, Protocol, RoundStats, SimConfig, run_protocol, uint_bits
 from .graph import Graph
@@ -75,13 +85,66 @@ class SweepResult:
     meta: dict = field(default_factory=dict, repr=False, compare=False)
 
 
+def _float_rank(value: float | Fraction, degree: int) -> float:
+    """The correctly rounded float of the exact rank value/degree."""
+    if isinstance(value, float):
+        return value / degree
+    # int true division rounds once; float(value) / degree would round twice
+    return value.numerator / (value.denominator * degree)
+
+
 def build_ordering(g: Graph, vec: PhkprVector, limit: int | None = None) -> SweepOrdering:
+    """Rank the support by value/degree descending, ties by ascending ID.
+
+    Each node is keyed by the correctly rounded float of its exact rank and
+    sorted once by (-key, ID). Rounding is monotone, so that sort already
+    puts every node in its exact place except inside runs of equal float
+    keys; only those runs are re-sorted by the exact key
+    (-Fraction(value)/degree, ID).
+    """
     if not vec.entries:
         raise ValueError("cannot sweep an empty vector")
-    ranked = sorted(vec.entries, key=lambda v: (-_rank(vec.entries[v], g.degree(v)), v))
+    nodes = list(vec.entries)
+    keys = np.fromiter(
+        (_float_rank(x, g.degree(v)) for v, x in vec.entries.items()),
+        dtype=np.float64,
+        count=len(nodes),
+    )
+    if not np.isfinite(keys).all():
+        raise ValueError("sweep values must be finite")
+    order = np.lexsort((np.array(nodes, dtype=np.int64), -keys))
+    ranked = [nodes[i] for i in order.tolist()]  # the vector's own int objects
+    sorted_keys = keys[order]
+    tied = np.flatnonzero(sorted_keys[1:] == sorted_keys[:-1])  # i ties with i + 1
+    if tied.size:
+        breaks = np.flatnonzero(np.diff(tied) != 1)
+        starts = tied[np.r_[0, breaks + 1]].tolist()
+        ends = (tied[np.r_[breaks, tied.size - 1]] + 2).tolist()
+        for a, b in zip(starts, ends):
+            ranked[a:b] = _exact_order(g, vec, ranked[a:b])
     if limit is not None:
         ranked = ranked[: max(1, limit)]
     return SweepOrdering(tuple(ranked))
+
+
+def _exact_order(g: Graph, vec: PhkprVector, run: list[int]) -> list[int]:
+    """Sort one run of nodes, given in ascending ID order, by the exact key.
+
+    A run mostly repeats a few (value, degree) pairs, so each node is keyed
+    by the integer pair (p, q) with value/degree == p/q, and a Fraction is
+    built only per distinct pair and only when the run holds more than one.
+    """
+
+    def pair(v: int) -> tuple[int, int]:
+        x = vec.entries[v]
+        exact = x if isinstance(x, Fraction) else Fraction(x)
+        return exact.numerator, exact.denominator * g.degree(v)
+
+    distinct = {pair(v) for v in run}
+    if len(distinct) == 1:
+        return run
+    neg_rank = {p: -Fraction(*p) for p in distinct}
+    return sorted(run, key=lambda v: (neg_rank[pair(v)], v))
 
 
 def _last_prefix(n: int, support: int, max_prefix: int | None) -> int:
@@ -92,40 +155,54 @@ def _last_prefix(n: int, support: int, max_prefix: int | None) -> int:
     return last
 
 
+def _prefix_counts(
+    g: Graph, ranked: tuple[int, ...], last: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Volumes and boundaries of the prefixes S_1..S_last, from the CSR arrays.
+
+    L_j counts the arcs (v_j, w) with w ranked before v_j; only the arcs of
+    the first ``last`` ranked nodes are read.
+    """
+    flat, offsets, degrees = g.csr_arrays()
+    order = np.array(ranked, dtype=np.int64)
+    pos = np.full(g.node_count, len(ranked), dtype=np.int64)  # unranked: after all
+    pos[order] = np.arange(len(ranked))
+    prefix = order[:last]
+    deg = degrees[prefix]
+    # the prefix's arcs, node after node (arc k of v is offsets[v] + k),
+    # built in place to keep the temporaries few
+    arcs = np.repeat(offsets[prefix] - (np.cumsum(deg) - deg), deg)
+    arcs += np.arange(arcs.size)
+    head_pos = pos[flat[arcs]]
+    del arcs
+    owner = np.repeat(np.arange(last), deg)  # position of each arc's source
+    left = np.bincount(owner[head_pos < owner], minlength=last)
+    return np.cumsum(deg), np.cumsum(deg - 2 * left)
+
+
 def sweep_exact(
     g: Graph, vec: PhkprVector, max_prefix: int | None = None
 ) -> SweepResult:
     """Centralized sweep via the integer recursions, exact throughout."""
     if g.node_count < 2:
         raise ValueError("sweep needs at least two nodes")
-    ordering = build_ordering(g, vec)
-    ranked = ordering.ranked_nodes
+    ranked = build_ordering(g, vec).ranked_nodes
     last = _last_prefix(g.node_count, len(ranked), max_prefix)
     if last < 1:
         raise ValueError("no proper prefix to sweep")
-    pos = {v: i + 1 for i, v in enumerate(ranked)}
-    absent = len(ranked) + 1
+    vols, boundaries = _prefix_counts(g, ranked, last)
     two_m = 2 * g.edge_count
     profile: list[tuple[int, int, Fraction]] = []
-    vol = 0
-    boundary = 0
-    best_j = 0
-    best_ratio: Fraction | None = None
-    for j in range(1, last + 1):
-        v = ranked[j - 1]
-        d = g.degree(v)
-        left = sum(1 for w in g.adjacency[v] if pos.get(w, absent) < j)
-        vol += d
-        boundary += d - 2 * left
-        ratio = Fraction(boundary, min(vol, two_m - vol))
-        profile.append((vol, boundary, ratio))
-        if best_ratio is None or ratio < best_ratio:
-            best_ratio = ratio
-            best_j = j
+    best_j, best_b, best_d = 0, 0, 1
+    for j, (vol, boundary) in enumerate(zip(vols.tolist(), boundaries.tolist()), start=1):
+        d = min(vol, two_m - vol)
+        profile.append((vol, boundary, Fraction(boundary, d)))
+        if best_j == 0 or boundary * best_d < best_b * d:
+            best_j, best_b, best_d = j, boundary, d
     return SweepResult(
         best_prefix=best_j,
         best_set=frozenset(ranked[:best_j]),
-        best_ratio=best_ratio,
+        best_ratio=profile[best_j - 1][2],
         profile=tuple(profile),
         ordering=ranked[:last],
         rounds_charged=0,

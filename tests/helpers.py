@@ -2,8 +2,9 @@
 
 These deliberately take different routes than the library: the diffusion
 oracle uses dense explicit matrix powers with scipy Poisson weights, the
-sweep oracle rescans every prefix from scratch, and the schedule oracle
-steps every node in every round.
+sweep oracle rescans every prefix from scratch, the reference sweep sorts
+exact Fraction ranks and walks the prefixes one node at a time, and the
+schedule oracle steps every node in every round.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from hkcluster.congest import (
     SimulationError,
 )
 from hkcluster.generators import random_connected_graph
+from hkcluster.sweep import SweepResult
 
 
 def transition_matrix(g: Graph) -> np.ndarray:
@@ -79,6 +81,53 @@ def eps_approximate(exact: dict[int, float], estimate: dict, eps: float, n: int)
         if not ((1 - eps) * true - eps <= est <= (1 + eps) * true + eps):
             return False
     return True
+
+
+def fraction_sweep_exact(
+    g: Graph, vec: PhkprVector, max_prefix: int | None = None
+) -> SweepResult:
+    """Reference for ``sweep.sweep_exact``: sorts the whole support by the
+    exact key (-Fraction(value)/degree, ID) and counts each prefix node's
+    earlier neighbours with a dict of positions."""
+    if g.node_count < 2:
+        raise ValueError("sweep needs at least two nodes")
+    if not vec.entries:
+        raise ValueError("cannot sweep an empty vector")
+    ranked = tuple(
+        sorted(vec.entries, key=lambda v: (-(Fraction(vec.entries[v]) / g.degree(v)), v))
+    )
+    last = len(ranked) - 1 if len(ranked) == g.node_count else len(ranked)
+    if max_prefix is not None:
+        last = min(last, max_prefix)
+    if last < 1:
+        raise ValueError("no proper prefix to sweep")
+    pos = {v: i + 1 for i, v in enumerate(ranked)}
+    absent = len(ranked) + 1
+    two_m = 2 * g.edge_count
+    profile: list[tuple[int, int, Fraction]] = []
+    vol = 0
+    boundary = 0
+    best_j = 0
+    best_ratio: Fraction | None = None
+    for j in range(1, last + 1):
+        v = ranked[j - 1]
+        d = g.degree(v)
+        left = sum(1 for w in g.adjacency[v] if pos.get(w, absent) < j)
+        vol += d
+        boundary += d - 2 * left
+        ratio = Fraction(boundary, min(vol, two_m - vol))
+        profile.append((vol, boundary, ratio))
+        if best_ratio is None or ratio < best_ratio:
+            best_ratio = ratio
+            best_j = j
+    return SweepResult(
+        best_prefix=best_j,
+        best_set=frozenset(ranked[:best_j]),
+        best_ratio=best_ratio,
+        profile=tuple(profile),
+        ordering=ranked[:last],
+        rounds_charged=0,
+    )
 
 
 def random_sparse_vector(g: Graph, rng: np.random.Generator, denom: int = 1000) -> PhkprVector:

@@ -146,6 +146,37 @@ def test_bad_c_or_beta_exits_one(flag, value):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kmachine", "--messages", "10", "--cdeg", "1", "--rounds", "1", "--k-grid", "0"],
+        HKPR_ARGS + ["--k-grid", "0,2"],
+    ],
+)
+def test_k_below_two_exits_one(argv):
+    rc, out, err = run_cli(argv)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+CLUSTER_ARGS = ["cluster", "gen:two-cliques:6", "--seed-node", "1", "--phi", "0.1",
+                "--eps", "0.1", "--sigma", "6", "--varsigma", "31", "--seed", "5"]
+CLUSTER_AUTO_ARGS = ["cluster-auto", "gen:two-cliques:6", "--seed-node", "1", "--eps", "0.1",
+                     "--sigma", "6", "--varsigma", "31", "--seed", "5"]
+
+
+@pytest.mark.parametrize("base", [CLUSTER_ARGS, CLUSTER_AUTO_ARGS])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_c2_exits_one(base, value):
+    rc, out, err = run_cli(base + ["--c2", value])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    rc, _, _ = run_cli(base)
+    assert rc == 0
+
+
 def test_disconnected_file_exit_one(tmp_path):
     bad = tmp_path / "disc.txt"
     bad.write_text("0 1\n2 3\n")

@@ -132,3 +132,13 @@ def test_shortest_path_deterministic():
     c6 = cycle_graph(6)
     assert c6.shortest_path(0, 3) == [0, 1, 2, 3]  # min-ID parent tie-break
     assert c6.shortest_path(2, 2) == [2]
+
+
+def test_cached_views_match_adjacency():
+    g = random_connected_graph(200, 300, seed=4)
+    flat, offsets, degrees = g.csr_arrays()
+    src = g.arc_sources()
+    assert src is g.arc_sources() and g.edge_count == g.edge_count
+    assert g.edge_count == sum(len(a) for a in g.adjacency) // 2 == len(flat) // 2
+    arcs = [(int(u), int(w)) for u, w in zip(src, flat)]
+    assert arcs == [(u, w) for u in range(g.node_count) for w in g.adjacency[u]]

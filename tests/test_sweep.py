@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from hkcluster import (
+    Graph,
     PhkprVector,
     SimConfig,
     build_ordering,
@@ -12,6 +14,8 @@ from hkcluster import (
     cheeger_ratio,
     distributed_sweep,
     estimate_phkpr_distributed,
+    exact_phkpr,
+    serial_estimate_phkpr,
     sweep_exact,
 )
 from hkcluster.generators import (
@@ -21,8 +25,14 @@ from hkcluster.generators import (
     random_connected_graph,
     two_clique_bridge,
 )
+from hkcluster.sweep import _float_rank
 
-from helpers import direct_prefix_stats, random_graph_pool, random_sparse_vector
+from helpers import (
+    direct_prefix_stats,
+    fraction_sweep_exact,
+    random_graph_pool,
+    random_sparse_vector,
+)
 
 
 def vector_on(nodes_values, seed=None, kind="estimated"):
@@ -76,6 +86,102 @@ def test_recursions_match_direct_scan():
         assert res.best_ratio == min(ratios)
         assert res.best_prefix == ratios.index(min(ratios)) + 1
         assert res.best_set == frozenset(ranked[: res.best_prefix])
+
+
+# -- equality with the Fraction-sorted reference sweep ---------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def random_10k() -> Graph:
+    return random_connected_graph(10_000, 20_000, seed=0)
+
+
+def star(leaves: int) -> Graph:
+    return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def assert_equals_reference(g, vec):
+    for cap in (None, 1, 7):
+        res = sweep_exact(g, vec, max_prefix=cap)
+        ref = fraction_sweep_exact(g, vec, max_prefix=cap)
+        assert res == ref
+        assert repr(res) == repr(ref)  # Python ints and Fractions, not numpy scalars
+        assert type(res.best_ratio) is Fraction
+    ref_order = fraction_sweep_exact(g, vec).ordering
+    assert build_ordering(g, vec).ranked_nodes[: len(ref_order)] == ref_order
+
+
+def test_equals_reference_on_random_rational_vectors():
+    rng = np.random.default_rng(404)
+    for g in random_graph_pool(40, 64, base_seed=404):
+        assert_equals_reference(g, random_sparse_vector(g, rng))
+        assert_equals_reference(g, random_sparse_vector(g, rng, denom=7))  # many ties
+
+
+@pytest.mark.parametrize("seed_node,t", [(0, 1.0), (16, 3.0), (33, 10.0)])
+def test_equals_reference_on_exact_vectors_karate(seed_node, t):
+    assert_equals_reference(karate_club_graph(), exact_phkpr(karate_club_graph(), seed_node, t))
+
+
+@pytest.mark.parametrize("seed_node", [0, 4321])
+def test_equals_reference_on_exact_vectors_10k(seed_node):
+    g = random_10k()
+    assert_equals_reference(g, exact_phkpr(g, seed_node, 3.0))
+
+
+@pytest.mark.parametrize(
+    "graph,seed_node,t,eps,rng",
+    [("karate", 0, 3.0, 0.1, 1), ("karate", 33, 5.0, 0.2, 2), ("10k", 17, 3.0, 0.1, 3)],
+)
+def test_equals_reference_on_serial_estimates(graph, seed_node, t, eps, rng):
+    g = karate_club_graph() if graph == "karate" else random_10k()
+    assert_equals_reference(g, serial_estimate_phkpr(g, seed_node, t, eps, rng=rng))
+
+
+def test_equals_reference_on_full_support():
+    g = karate_club_graph()
+    rng = np.random.default_rng(5)
+    vec = vector_on({v: Fraction(int(rng.integers(1, 20)), 100) for v in range(g.node_count)})
+    assert_equals_reference(g, vec)
+    assert len(sweep_exact(g, vec).ordering) == g.node_count - 1
+
+
+def test_float_equal_ranks_resolved_exactly():
+    third = Fraction(1, 3)
+    tiny = Fraction(1, 10**30)
+    g = two_clique_bridge(4)
+    assert g.degree(1) == g.degree(2) == 3
+    vec = vector_on({1: third, 2: third + tiny, 5: Fraction(1, 10)})
+    assert _float_rank(third, 3) == _float_rank(third + tiny, 3)
+    assert build_ordering(g, vec).ranked_nodes == (2, 1, 5)
+    assert_equals_reference(g, vec)
+    # floats: 1.0 over degree 5 is 1/5 exactly, rounded up to 0.2, while the
+    # leaf's value 0.2 over degree 1 is that rounded-up float itself
+    g = star(5)
+    vec = PhkprVector(seed=0, t=1.0, entries={0: 1.0, 1: 0.2, 2: 0.1}, kind="exact")
+    assert 1.0 / 5 == 0.2 and Fraction(0.2) > Fraction(1, 5)
+    assert build_ordering(g, vec).ranked_nodes == (1, 0, 2)
+    assert_equals_reference(g, vec)
+
+
+@pytest.mark.parametrize("exact_value", [True, False])
+def test_equal_exact_ranks_tie_by_id(exact_value):
+    g = karate_club_graph()
+    nodes = [33, 0, 32, 2, 1, 3, 8, 11]  # degrees 17, 16, 12, 10, 9, 6, 5, 1
+    assert len({g.degree(v) for v in nodes}) == len(nodes)
+    unit = Fraction(1, 97) if exact_value else 2.0**-7
+    entries = {v: unit * g.degree(v) for v in nodes}
+    entries[20] = unit / 2  # ranked last
+    vec = PhkprVector(seed=0, t=1.0, entries=entries, kind="estimated" if exact_value else "exact")
+    assert build_ordering(g, vec).ranked_nodes == tuple(sorted(nodes)) + (20,)
+    assert_equals_reference(g, vec)
+
+
+def test_non_finite_values_rejected():
+    g = path_graph(3)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            sweep_exact(g, PhkprVector(seed=0, t=1.0, entries={0: 0.5, 1: bad}, kind="exact"))
 
 
 def test_distributed_equals_exact_on_estimates():
