@@ -67,10 +67,10 @@ def _provenance(name: str, argv: list[str]) -> str:
     return "flag" if f"--{name}" in argv else "default"
 
 
-def _sim_config(args, stochastic: bool = True) -> SimConfig:
+def _sim_config(args) -> SimConfig:
     cap = os.environ.get("HKCLUSTER_ROUND_CAP")
     kwargs = dict(
-        seed=args.seed if stochastic else 0,
+        seed=args.seed,
         mode=args.mode,
         bandwidth_beta=args.beta,
         bandwidth_bits=args.bandwidth_bits,
@@ -168,13 +168,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, stochastic=True):
+    def graph(p):
         p.add_argument("graph", help="edge-list file or gen:<name>:<args> spec")
+
+    def common(p):  # every protocol subcommand
+        graph(p)
         p.add_argument("--mode", choices=["paper", "strict"], default="paper")
         p.add_argument("--beta", type=float, default=1.0, help="bandwidth = ceil(beta*log2 n) bits")
         p.add_argument("--bandwidth-bits", type=int, default=None)
-        if stochastic:
-            p.add_argument("--seed", type=int, required=True, help="run RNG seed")
+        p.add_argument("--seed", type=int, required=True, help="run RNG seed")
         p.add_argument("--k-grid", type=str, default=None, help="append k-machine bounds, e.g. 2,4,8")
 
     p = sub.add_parser("hkpr", help="distributed walk estimate of the diffusion vector")
@@ -187,7 +189,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", type=str, default=None, help="write per-round (u,v,bits) trace")
 
     p = sub.add_parser("hkpr-exact", help="exact truncated-series diffusion vector")
-    common(p, stochastic=False)
+    graph(p)
     p.add_argument("--seed-node", type=int, required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-9)
@@ -202,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--varsigma", type=int, default=None, help="volume cap (switches to the chain sweep)")
 
     p = sub.add_parser("sweep-exact", help="sweep the exact diffusion vector (deterministic)")
-    common(p, stochastic=False)
+    graph(p)
     p.add_argument("--seed-node", type=int, required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-9)
@@ -411,6 +413,8 @@ def _cmd_sparsecut(args, argv: list[str]) -> str:
     )
     _sweep_section(rep, best.outcome.sweep)
     _rounds_section(rep, best.outcome.stats)
+    if args.k_grid:
+        _kmachine_section(rep, best.outcome.stats, _parse_grid(args.k_grid))
     return rep.render()
 
 

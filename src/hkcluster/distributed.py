@@ -42,7 +42,8 @@ class _WalkState:
 
 
 class TokenWalkProtocol(Protocol):
-    """K-round token forwarding; every node terminates at round K."""
+    """K-round token forwarding. A node without live tokens or mail sleeps;
+    the seed node stays awake, so the walk takes exactly K rounds."""
 
     def __init__(self, seed_node: int, t: float, r: int, cap: int, init_seed: int):
         self.seed_node = seed_node
@@ -79,7 +80,9 @@ class TokenWalkProtocol(Protocol):
         return out
 
     def finished(self, info, state, pending, round_no: int) -> bool:
-        return round_no >= self.cap
+        if round_no >= self.cap:
+            return True
+        return info.node != self.seed_node and not state.live and not pending
 
     def finalize(self, info, state: _WalkState, pending) -> int:
         total = state.retired

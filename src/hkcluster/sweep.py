@@ -14,19 +14,23 @@ rationals: each node is keyed by the correctly rounded float of its rank
 is monotone, so one float sort places every node except inside runs of
 equal float keys, and only those runs are re-sorted by the exact rank.
 
-Three evaluation routes share those recursions:
+One scoring routine turns the (vol, boundary) sequence into the profile
+and picks the first minimum; three evaluation routes feed it:
 
 * ``sweep_exact``       -- centralized oracle, pure function; L_j is counted
   over the CSR arcs of the scored prefix only, so a capped sweep reads the
   arcs of its prefix and not the whole graph.
-* ``distributed_sweep`` -- two-phase protocol: a priority BFS tree over the
-  support is built (higher value/degree wins the root), ranked values are
-  upcast to the root, the root sorts and floods the ordering back, then
-  (ID, L, R) triples are upcast and the root applies the recursions.
-  Upcasts are pipelined, one item per tree edge per round.
-* ``chain_sweep``       -- early-stopping variant: a running (vol, boundary,
-  best) packet hops along shortest paths between consecutively ranked
-  nodes and stops once a size or volume cap is exceeded.
+* ``distributed_sweep`` -- the shared phase plus the tree tail. The shared
+  phase builds a priority BFS tree over the support (higher value/degree
+  wins the root), upcasts the ranked values to the root and floods the
+  root's ordering back. The tree tail upcasts (ID, L, R) triples and the
+  root applies the recursions. Upcasts are pipelined, one item per tree
+  edge per round.
+* ``chain_sweep``       -- the shared phase plus the chain tail: a running
+  (vol, boundary, best) packet hops along shortest paths between
+  consecutively ranked nodes and stops once a size or volume cap is
+  exceeded. Each node that scores a prefix keeps its (vol, boundary), and
+  the driver reads the profile from those node outputs.
 
 In the distributed sweep an estimated vector is considered only down to the
 top ceil(1/eps) ranked nodes: lower entries are below the resolution the
@@ -41,7 +45,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -59,19 +63,11 @@ __all__ = [
 ]
 
 
-def _rank(value, degree: int) -> Fraction:
-    return Fraction(value) / degree
-
-
 @dataclass(frozen=True)
 class SweepOrdering:
     """Nodes ranked by value/degree descending, ties by ascending ID."""
 
     ranked_nodes: tuple[int, ...]
-
-    @property
-    def support_size(self) -> int:
-        return len(self.ranked_nodes)
 
 
 @dataclass
@@ -93,7 +89,7 @@ def _float_rank(value: float | Fraction, degree: int) -> float:
     return value.numerator / (value.denominator * degree)
 
 
-def build_ordering(g: Graph, vec: PhkprVector, limit: int | None = None) -> SweepOrdering:
+def build_ordering(g: Graph, vec: PhkprVector) -> SweepOrdering:
     """Rank the support by value/degree descending, ties by ascending ID.
 
     Each node is keyed by the correctly rounded float of its exact rank and
@@ -122,8 +118,6 @@ def build_ordering(g: Graph, vec: PhkprVector, limit: int | None = None) -> Swee
         ends = (tied[np.r_[breaks, tied.size - 1]] + 2).tolist()
         for a, b in zip(starts, ends):
             ranked[a:b] = _exact_order(g, vec, ranked[a:b])
-    if limit is not None:
-        ranked = ranked[: max(1, limit)]
     return SweepOrdering(tuple(ranked))
 
 
@@ -180,6 +174,21 @@ def _prefix_counts(
     return np.cumsum(deg), np.cumsum(deg - 2 * left)
 
 
+def _score(
+    counts: Iterable[tuple[int, int]], two_m: int
+) -> tuple[tuple[tuple[int, int, Fraction], ...], int]:
+    """The profile of the prefixes with these (vol, boundary) counts, and the
+    1-based index of its first minimum, found by cross-multiplying integers."""
+    profile: list[tuple[int, int, Fraction]] = []
+    best_j, best_b, best_d = 0, 0, 1
+    for j, (vol, boundary) in enumerate(counts, start=1):
+        d = min(vol, two_m - vol)
+        profile.append((vol, boundary, Fraction(boundary, d)))
+        if best_j == 0 or boundary * best_d < best_b * d:
+            best_j, best_b, best_d = j, boundary, d
+    return tuple(profile), best_j
+
+
 def sweep_exact(
     g: Graph, vec: PhkprVector, max_prefix: int | None = None
 ) -> SweepResult:
@@ -191,19 +200,12 @@ def sweep_exact(
     if last < 1:
         raise ValueError("no proper prefix to sweep")
     vols, boundaries = _prefix_counts(g, ranked, last)
-    two_m = 2 * g.edge_count
-    profile: list[tuple[int, int, Fraction]] = []
-    best_j, best_b, best_d = 0, 0, 1
-    for j, (vol, boundary) in enumerate(zip(vols.tolist(), boundaries.tolist()), start=1):
-        d = min(vol, two_m - vol)
-        profile.append((vol, boundary, Fraction(boundary, d)))
-        if best_j == 0 or boundary * best_d < best_b * d:
-            best_j, best_b, best_d = j, boundary, d
+    profile, best_j = _score(zip(vols.tolist(), boundaries.tolist()), 2 * g.edge_count)
     return SweepResult(
         best_prefix=best_j,
         best_set=frozenset(ranked[:best_j]),
         best_ratio=profile[best_j - 1][2],
-        profile=tuple(profile),
+        profile=profile,
         ordering=ranked[:last],
         rounds_charged=0,
     )
@@ -243,7 +245,7 @@ class _SweepState:
     parent: int | None = None
     pending_cand: bool = False
     children: list[int] = field(default_factory=list)
-    # upcasts toward the root (values first, then cut-count triples)
+    # upcast toward the root (values; the tree tail adds its triples)
     up_items: deque = field(default_factory=deque)
     vdone_from: dict[int, int] = field(default_factory=dict)
     own_value_handled: bool = False
@@ -253,61 +255,38 @@ class _SweepState:
     pi_expected: int | None = None
     pi_ids: dict[int, int] = field(default_factory=dict)   # position -> node
     pi_pos: dict[int, int] = field(default_factory=dict)   # node -> position
-    triple_handled: bool = False
-    # chain
-    chain_pending: tuple | None = None
-    chain_final: tuple | None = None
     # root bookkeeping
     collected: list[tuple[Fraction, int]] = field(default_factory=list)
     pi_seq: list[tuple] | None = None
     flood_ptr: int = 0
-    triples: dict[int, tuple[int, int]] = field(default_factory=dict)  # pos -> (L, R)
-    result: dict | None = None
-    meta: dict = field(default_factory=dict)
 
 
 class SweepProtocol(Protocol):
-    """Priority-BFS tree, ranked-value upcast, ordering flood, then either a
-    triple upcast to the root (mode="tree") or a traveling prefix packet
-    with early stopping (mode="chain")."""
+    """The phase both sweeps share: priority-BFS tree over the flood region,
+    CHILD announce, ranked-value upcast closed by VDONE counts, and the
+    root's ordering flood toward subtrees holding ranked nodes. A tail
+    subclass takes over at each node that knows the whole ordering."""
 
-    def __init__(
-        self,
-        values: dict[int, Fraction],
-        radius: int,
-        trunc_limit: int | None,
-        mode: str = "tree",
-        size_cap: int | None = None,
-        volume_cap: int | None = None,
-        routes: dict[tuple[int, int], tuple[int, ...]] | None = None,
-        log_messages: bool = False,
-    ):
+    mode: str  # "tree" | "chain"
+    state_type: type[_SweepState]
+    trunc_limit: int | None = None  # the root floods at most this many ranked nodes
+
+    def __init__(self, values: dict[int, Fraction], radius: int):
         self.values = values
         self.budget = 2 * radius
         self.flood_rounds = 2 * radius + 1
         self.announce_round = self.flood_rounds + 1
-        self.trunc_limit = trunc_limit
-        self.mode = mode
-        self.size_cap = size_cap
-        self.volume_cap = volume_cap
-        self.routes = routes or {}
-        # optional (round, tag, src, dst) log for per-phase ledger assertions
-        self.message_log: list[tuple[int, str, int, int]] | None = (
-            [] if log_messages else None
-        )
-
-    # -- lifecycle ------------------------------------------------------------
 
     def initial_state(self, info: NodeInfo) -> _SweepState:
-        state = _SweepState()
+        state = self.state_type()
         if info.node in self.values:
-            state.rank = _rank(self.values[info.node], max(1, info.degree))
+            state.rank = self.values[info.node] / max(1, info.degree)
             state.best_prio = (state.rank, -info.node)
             state.best_dist = 0
             state.pending_cand = self.budget >= 1
         return state
 
-    def _fold(self, info: NodeInfo, state: _SweepState, inbox) -> None:
+    def _fold(self, state: _SweepState, inbox) -> None:
         for sender, msg in sorted(inbox, key=lambda sm: sm[0]):
             tag = msg[0]
             if tag == _CAND:
@@ -334,35 +313,18 @@ class SweepProtocol(Protocol):
             elif tag == _VDONE:
                 state.vdone_from[sender] = msg[1]
             elif tag in (_PLEN, _PENT):
-                self._apply_flood(state, msg)
+                if tag == _PLEN:
+                    state.pi_expected = msg[1]
+                else:
+                    state.pi_ids[msg[1]] = msg[2]
+                    state.pi_pos[msg[2]] = msg[1]
                 if any(state.vdone_from.get(c, 0) > 0 for c in state.children):
                     state.flood_buf.append(msg)
-            elif tag == _TRI:
-                if state.parent is None:
-                    state.triples[state.pi_pos[msg[1]]] = (msg[2], msg[3])
-                else:
-                    state.up_items.append(msg)
-            elif tag == _CHAIN:
-                state.chain_pending = msg
-
-    @staticmethod
-    def _apply_flood(state: _SweepState, msg: tuple) -> None:
-        if msg[0] == _PLEN:
-            state.pi_expected = msg[1]
-        else:
-            _, position, node = msg
-            state.pi_ids[position] = node
-            state.pi_pos[node] = position
+            else:
+                self._receive(state, msg)
 
     def handle_round(self, info: NodeInfo, state: _SweepState, inbox, ctx):
-        out = self._handle(info, state, inbox, ctx)
-        if self.message_log is not None:
-            for dest, msg, _ in out:
-                self.message_log.append((ctx.round_no, msg[0], info.node, dest))
-        return out
-
-    def _handle(self, info: NodeInfo, state: _SweepState, inbox, ctx):
-        self._fold(info, state, inbox)
+        self._fold(state, inbox)
         out: list[tuple[int, Any, int]] = []
         round_no = ctx.round_no
 
@@ -382,12 +344,7 @@ class SweepProtocol(Protocol):
                 out.append((state.parent, msg, _bits(msg)))
             return out
 
-        if state.chain_pending is not None and state.chain_pending[7]:
-            # relay hop: forward without needing tree or ordering state
-            msg = state.chain_pending
-            state.chain_pending = None
-            self._chain_step(info, state, out, msg)
-
+        self._relay(state, out)
         if state.best_prio is None:
             return out  # outside the flood region; nothing else to do
 
@@ -415,44 +372,16 @@ class SweepProtocol(Protocol):
             out.append((state.parent, msg, _bits(msg)))
             state.sent_vdone = True
 
-        # forward the ordering flood toward subtrees holding ranked nodes
         if state.flood_buf:
-            msg = state.flood_buf.popleft()
-            for c in state.children:
-                if state.vdone_from.get(c, 0) > 0:
-                    out.append((c, msg, _bits(msg)))
+            self._flood_down(state, state.flood_buf.popleft(), out)
 
-        pi_complete = (
-            state.pi_expected is not None and len(state.pi_ids) == state.pi_expected
-        )
-
-        # contribute own cut counts once the whole ordering is known locally
-        if pi_complete and not state.triple_handled and info.node in state.pi_pos:
-            state.triple_handled = True
-            position = state.pi_pos[info.node]
-            left = self._left_count(info, state, position)
-            if self.mode == "tree":
-                if is_root:
-                    state.triples[position] = (left, info.degree - left)
-                else:
-                    state.up_items.append((_TRI, info.node, left, info.degree - left))
-            elif position == 1:
-                self._start_chain(info, state, out, round_no)
-
-        if state.chain_pending is not None and pi_complete:
-            msg = state.chain_pending
-            state.chain_pending = None
-            self._chain_step(info, state, out, msg)
-
-        if is_root and self.mode == "tree":
-            self._maybe_finish_tree(info, state)
+        if state.pi_expected is not None and len(state.pi_ids) == state.pi_expected:
+            self._tail(info, state, out, round_no)
         return out
 
     @staticmethod
     def _left_count(info: NodeInfo, state: _SweepState, position: int) -> int:
         return sum(1 for w in info.neighbors if state.pi_pos.get(w, _ABSENT) < position)
-
-    # -- root logic -------------------------------------------------------------
 
     def _root_round(self, state: _SweepState, children_done: bool, out) -> None:
         if state.pi_seq is None and children_done:
@@ -467,96 +396,18 @@ class SweepProtocol(Protocol):
             state.pi_expected = len(ranked)
             state.pi_seq = seq
         if state.pi_seq is not None and state.flood_ptr < len(state.pi_seq):
-            msg = state.pi_seq[state.flood_ptr]
+            self._flood_down(state, state.pi_seq[state.flood_ptr], out)
             state.flood_ptr += 1
-            for c in state.children:
-                if state.vdone_from.get(c, 0) > 0:
-                    out.append((c, msg, _bits(msg)))
 
-    def _maybe_finish_tree(self, info: NodeInfo, state: _SweepState) -> None:
-        if state.result is not None or state.pi_expected is None:
-            return
-        if len(state.triples) < state.pi_expected:
-            return
-        n, two_m = info.n, 2 * info.m
-        last = _last_prefix(n, state.pi_expected, None)
-        vol = 0
-        boundary = 0
-        profile = []
-        best_j = 0
-        best_ratio = None
-        for j in range(1, last + 1):
-            left, right = state.triples[j]
-            d = left + right
-            vol += d
-            boundary += d - 2 * left
-            ratio = Fraction(boundary, min(vol, two_m - vol))
-            profile.append((vol, boundary, ratio))
-            if best_ratio is None or ratio < best_ratio:
-                best_ratio = ratio
-                best_j = j
-        state.result = {
-            "best_j": best_j,
-            "best_ratio": best_ratio,
-            "profile": tuple(profile),
-            "ordering": tuple(state.pi_ids[j] for j in range(1, last + 1)),
-            "examined": last,
-        }
-
-    # -- chain mode ----------------------------------------------------------------
-
-    def _start_chain(self, info: NodeInfo, state: _SweepState, out, round_no) -> None:
-        n, two_m = info.n, 2 * info.m
-        vol = info.degree
-        boundary = info.degree
-        best_num, best_den, best_j = 0, 1, 0
-        if 1 < n:  # the first prefix is always scored
-            ratio = Fraction(boundary, min(vol, two_m - vol))
-            best_num, best_den, best_j = ratio.numerator, ratio.denominator, 1
-        state.meta["chain_start_round"] = round_no
-        self._advance_chain(info, state, out, 1, vol, boundary, best_num, best_den, best_j)
-
-    def _chain_step(self, info: NodeInfo, state: _SweepState, out, msg) -> None:
-        _, j, vol, boundary, best_num, best_den, best_j, route = msg
-        if route:
-            nxt = route[0]
-            fwd = (_CHAIN, j, vol, boundary, best_num, best_den, best_j, route[1:])
-            out.append((nxt, fwd, _bits(fwd)))
-            return
-        position = j + 1  # this node is the next ranked node
-        d = info.degree
-        new_vol = vol + d
-        if (self.size_cap is not None and position > self.size_cap) or (
-            self.volume_cap is not None and new_vol > self.volume_cap
-        ):
-            state.chain_final = (best_num, best_den, best_j, j)
-            return
-        left = self._left_count(info, state, position)
-        new_boundary = boundary - left + (d - left)
-        n, two_m = info.n, 2 * info.m
-        if position < n:
-            ratio = Fraction(new_boundary, min(new_vol, two_m - new_vol))
-            if best_j == 0 or ratio < Fraction(best_num, best_den):
-                best_num, best_den, best_j = ratio.numerator, ratio.denominator, position
-        self._advance_chain(
-            info, state, out, position, new_vol, new_boundary, best_num, best_den, best_j
-        )
-
-    def _advance_chain(
-        self, info, state: _SweepState, out, j, vol, boundary, best_num, best_den, best_j
-    ) -> None:
-        if j >= state.pi_expected:
-            state.chain_final = (best_num, best_den, best_j, j)
-            return
-        successor = state.pi_ids[j + 1]
-        route = self.routes[(info.node, successor)]
-        msg = (_CHAIN, j, vol, boundary, best_num, best_den, best_j, route[1:])
-        out.append((route[0], msg, _bits(msg)))
-
-    # -- termination -------------------------------------------------------------
+    @staticmethod
+    def _flood_down(state: _SweepState, msg: tuple, out) -> None:
+        """Send one ordering message toward the subtrees holding ranked nodes."""
+        for c in state.children:
+            if state.vdone_from.get(c, 0) > 0:
+                out.append((c, msg, _bits(msg)))
 
     def finished(self, info, state: _SweepState, pending, round_no: int) -> bool:
-        if pending or state.chain_pending is not None:
+        if pending:
             return False
         if state.best_prio is None:
             return True  # outside the flood region: asleep until mail arrives
@@ -564,14 +415,159 @@ class SweepProtocol(Protocol):
             return False
         if state.up_items or state.flood_buf:
             return False
-        if state.parent is None:  # root
-            if self.mode == "tree":
-                return state.result is not None
-            return state.pi_seq is not None and state.flood_ptr >= len(state.pi_seq)
+        if state.parent is None:
+            return self._root_done(state)
         return state.sent_vdone
 
-    def finalize(self, info, state: _SweepState, pending):
-        return state
+    # -- tail hooks ---------------------------------------------------------------
+
+    def _receive(self, state: _SweepState, msg: tuple) -> None:
+        """Fold one tail message."""
+        raise NotImplementedError
+
+    def _relay(self, state: _SweepState, out) -> None:
+        """Forward tail traffic that needs no tree or ordering state."""
+
+    def _tail(self, info: NodeInfo, state: _SweepState, out, round_no: int) -> None:
+        """One round of the tail at a node that knows the whole ordering."""
+        raise NotImplementedError
+
+    def _root_done(self, state: _SweepState) -> bool:
+        return state.pi_seq is not None and state.flood_ptr >= len(state.pi_seq)
+
+
+@dataclass
+class _TreeState(_SweepState):
+    counted: bool = False  # own (ID, L, R) triple handed on
+    triples: dict[int, tuple[int, int]] = field(default_factory=dict)  # root: pos -> (L, R)
+    result: tuple | None = None  # root: (ordering, profile, best prefix)
+
+
+class TreeSweepProtocol(SweepProtocol):
+    """Tree tail: every ranked node upcasts its (ID, L, R) triple and the
+    root scores the prefixes once it holds them all."""
+
+    mode = "tree"
+    state_type = _TreeState
+
+    def __init__(self, values: dict[int, Fraction], radius: int, trunc_limit: int | None):
+        super().__init__(values, radius)
+        self.trunc_limit = trunc_limit
+
+    def _receive(self, state: _TreeState, msg: tuple) -> None:
+        if state.parent is None:
+            state.triples[state.pi_pos[msg[1]]] = (msg[2], msg[3])
+        else:
+            state.up_items.append(msg)
+
+    def _tail(self, info: NodeInfo, state: _TreeState, out, round_no: int) -> None:
+        is_root = state.parent is None
+        position = state.pi_pos.get(info.node)
+        if position is not None and not state.counted:
+            state.counted = True
+            left = self._left_count(info, state, position)
+            if is_root:
+                state.triples[position] = (left, info.degree - left)
+            else:
+                state.up_items.append((_TRI, info.node, left, info.degree - left))
+        if is_root and state.result is None and len(state.triples) == state.pi_expected:
+            self._score_at_root(info, state)
+
+    @staticmethod
+    def _score_at_root(info: NodeInfo, state: _TreeState) -> None:
+        last = _last_prefix(info.n, state.pi_expected, None)
+        counts = []
+        vol = boundary = 0
+        for j in range(1, last + 1):
+            left, right = state.triples[j]
+            vol += left + right
+            boundary += right - left
+            counts.append((vol, boundary))
+        profile, best_j = _score(counts, 2 * info.m)
+        state.result = (tuple(state.pi_ids[j] for j in range(1, last + 1)), profile, best_j)
+
+    def _root_done(self, state: _TreeState) -> bool:
+        return state.result is not None
+
+
+@dataclass
+class _ChainState(_SweepState):
+    chain_pending: tuple | None = None
+    chain_final: tuple | None = None  # (best_num, best_den, best_j, examined)
+    chain_start: int | None = None  # round the first ranked node sent the packet
+    scored: tuple[int, int, int] | None = None  # (j, vol, boundary) of the prefix S_j it closes
+
+
+class ChainSweepProtocol(SweepProtocol):
+    """Chain tail: a (j, vol, boundary, best) packet travels from each
+    ranked node to the next along a shortest path and stops at the first
+    prefix beyond size_cap or volume_cap; the first prefix is always
+    scored."""
+
+    mode = "chain"
+    state_type = _ChainState
+
+    def __init__(
+        self,
+        values: dict[int, Fraction],
+        radius: int,
+        size_cap: int | None,
+        volume_cap: int | None,
+        routes: dict[tuple[int, int], tuple[int, ...]],
+    ):
+        super().__init__(values, radius)
+        self.size_cap = size_cap
+        self.volume_cap = volume_cap
+        self.routes = routes
+
+    def _receive(self, state: _ChainState, msg: tuple) -> None:
+        state.chain_pending = msg
+
+    def _relay(self, state: _ChainState, out) -> None:
+        msg = state.chain_pending
+        if msg is not None and msg[7]:
+            state.chain_pending = None
+            fwd = msg[:7] + (msg[7][1:],)
+            out.append((msg[7][0], fwd, _bits(fwd)))
+
+    def _tail(self, info: NodeInfo, state: _ChainState, out, round_no: int) -> None:
+        if state.chain_start is None and state.pi_pos.get(info.node) == 1:
+            state.chain_start = round_no
+            self._visit(info, state, out, 1, 0, 0, 0, 1, 0)
+        msg = state.chain_pending
+        if msg is not None:
+            state.chain_pending = None
+            _, j, vol, boundary, best_num, best_den, best_j, _ = msg
+            self._visit(info, state, out, j + 1, vol, boundary, best_num, best_den, best_j)
+
+    def _visit(
+        self, info, state: _ChainState, out, position, vol, boundary, best_num, best_den, best_j
+    ) -> None:
+        """Extend the packet's prefix S_{position-1} by this node, the one
+        ranked ``position``, and send it on, or stop at a cap."""
+        d = info.degree
+        vol += d
+        if position > 1 and (
+            (self.size_cap is not None and position > self.size_cap)
+            or (self.volume_cap is not None and vol > self.volume_cap)
+        ):
+            state.chain_final = (best_num, best_den, best_j, position - 1)
+            return
+        boundary += d - 2 * self._left_count(info, state, position)
+        if position < info.n:  # the full vertex set is not scored
+            state.scored = (position, vol, boundary)
+            ratio = Fraction(boundary, min(vol, 2 * info.m - vol))
+            if best_j == 0 or ratio < Fraction(best_num, best_den):
+                best_num, best_den, best_j = ratio.numerator, ratio.denominator, position
+        if position >= state.pi_expected:
+            state.chain_final = (best_num, best_den, best_j, position)
+            return
+        route = self.routes[(info.node, state.pi_ids[position + 1])]
+        msg = (_CHAIN, position, vol, boundary, best_num, best_den, best_j, route[1:])
+        out.append((route[0], msg, _bits(msg)))
+
+    def finished(self, info, state: _ChainState, pending, round_no: int) -> bool:
+        return state.chain_pending is None and super().finished(info, state, pending, round_no)
 
 
 # ---------------------------------------------------------------------------
@@ -603,16 +599,15 @@ def distributed_sweep(
     values = _coerced_values(vec)
     radius = _support_radius(g, vec)
     trunc = ceil(1 / eps)
-    protocol = SweepProtocol(values, radius=radius, trunc_limit=trunc, mode="tree")
+    protocol = TreeSweepProtocol(values, radius, trunc)
     states, stats = run_protocol(g, protocol, config)
-    root_state = next(s for s in states.values() if s.result is not None)
-    res = root_state.result
+    ordering, profile, best_j = next(s.result for s in states.values() if s.result is not None)
     result = SweepResult(
-        best_prefix=res["best_j"],
-        best_set=frozenset(res["ordering"][: res["best_j"]]),
-        best_ratio=res["best_ratio"],
-        profile=res["profile"],
-        ordering=res["ordering"],
+        best_prefix=best_j,
+        best_set=frozenset(ordering[:best_j]),
+        best_ratio=profile[best_j - 1][2],
+        profile=profile,
+        ordering=ordering,
         rounds_charged=stats.rounds,
         meta={
             "mode": "tree",
@@ -637,7 +632,9 @@ def chain_sweep(
 ) -> tuple[SweepResult, RoundStats]:
     """Relay sweep along the ranked order with early stopping at the first
     prefix whose size exceeds size_cap or volume exceeds volume_cap. The
-    first prefix is always scored."""
+    first prefix is always scored. The profile and ordering are read from
+    the nodes that scored a prefix; the best prefix and ratio from the
+    packet."""
     if g.node_count < 2:
         raise ValueError("sweep needs at least two nodes")
     if size_cap is None and volume_cap is None:
@@ -649,39 +646,22 @@ def chain_sweep(
     values = _coerced_values(vec)
     radius = _support_radius(g, vec)
     ranked = build_ordering(g, vec).ranked_nodes
-    routes = {}
-    for a, b in zip(ranked, ranked[1:]):
-        path = g.shortest_path(a, b)
-        routes[(a, b)] = tuple(path[1:])
-    protocol = SweepProtocol(
-        values,
-        radius=radius,
-        trunc_limit=None,
-        mode="chain",
-        size_cap=size_cap,
-        volume_cap=volume_cap,
-        routes=routes,
-    )
+    routes = {(a, b): tuple(g.shortest_path(a, b)[1:]) for a, b in zip(ranked, ranked[1:])}
+    protocol = ChainSweepProtocol(values, radius, size_cap, volume_cap, routes)
     states, stats = run_protocol(g, protocol, config)
-    holder = next(s for s in states.values() if s.chain_final is not None)
-    best_num, best_den, best_j, examined = holder.chain_final
-    if best_j == 0:
-        raise ValueError("chain sweep scored no prefix")
-    # reconstruct the examined profile with the same recursions and verify
-    # the packet's running optimum against it
-    oracle = sweep_exact(g, vec, max_prefix=examined)
-    if (oracle.best_prefix, oracle.best_ratio) != (best_j, Fraction(best_num, best_den)):
-        raise RuntimeError("chain relay disagrees with the centralized recursion")
-    chain_start = next(
-        (s.meta["chain_start_round"] for s in states.values() if "chain_start_round" in s.meta),
-        stats.rounds,
+    scored = sorted((s.scored, v) for v, s in states.items() if s.scored is not None)
+    profile, _ = _score([(vol, boundary) for (_, vol, boundary), _ in scored], 2 * g.edge_count)
+    ordering = tuple(v for _, v in scored)
+    best_num, best_den, best_j, examined = next(
+        s.chain_final for s in states.values() if s.chain_final is not None
     )
+    chain_start = next(s.chain_start for s in states.values() if s.chain_start is not None)
     result = SweepResult(
         best_prefix=best_j,
-        best_set=frozenset(ranked[:best_j]),
+        best_set=frozenset(ordering[:best_j]),
         best_ratio=Fraction(best_num, best_den),
-        profile=oracle.profile,
-        ordering=ranked[:examined],
+        profile=profile,
+        ordering=ordering,
         rounds_charged=stats.rounds,
         meta={
             "mode": "chain",

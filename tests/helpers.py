@@ -163,6 +163,31 @@ def ring_of_cliques(cliques: int, size: int) -> Graph:
     return Graph.from_edges(cliques * size, edges)
 
 
+class RecordingProtocol(Protocol):
+    """Delegates every call to ``inner``, counts handler calls and logs each
+    sent message as (round, src, dst, payload)."""
+
+    def __init__(self, inner: Protocol):
+        self.inner = inner
+        self.handler_calls = 0
+        self.sent: list[tuple[int, int, int, Any]] = []
+
+    def initial_state(self, info):
+        return self.inner.initial_state(info)
+
+    def handle_round(self, info, state, inbox, ctx):
+        self.handler_calls += 1
+        out = self.inner.handle_round(info, state, inbox, ctx)
+        self.sent += [(ctx.round_no, info.node, dest, msg) for dest, msg, _ in out]
+        return out
+
+    def finished(self, info, state, pending, round_no):
+        return self.inner.finished(info, state, pending, round_no)
+
+    def finalize(self, info, state, pending):
+        return self.inner.finalize(info, state, pending)
+
+
 def every_node_run_protocol(
     g: Graph,
     protocol: Protocol,

@@ -216,6 +216,35 @@ def test_k_grid_appends_table():
     assert len(doc["kmachine"]) == 3
 
 
+def test_sparsecut_k_grid_appends_table_of_best_outcome():
+    from hkcluster.kmachine import CostMeasurement, kmachine_table
+    from hkcluster.report import fmt_real
+
+    rc, out, _ = run_cli(
+        ["sparsecut", "gen:two-cliques:6", "--samples", "1", "--eps", "0.1",
+         "--sigma", "6", "--varsigma", "31", "--seed", "9", "--k-grid", "2,4"]
+    )
+    assert rc == 0
+    doc = parse_report(out)
+    ledger = CostMeasurement(
+        total_messages=int(doc["rounds"]["messages"]),
+        max_node_messages=int(doc["rounds"]["max-node-messages"]),
+        rounds=int(doc["rounds"]["rounds"]),
+    )
+    assert doc["kmachine"] == [["k", "bound", "dominating-term"]] + [
+        [str(k), fmt_real(b), d] for k, b, d in kmachine_table(ledger, [2, 4])
+    ]
+
+
+@pytest.mark.parametrize("command", ["hkpr-exact", "sweep-exact"])
+@pytest.mark.parametrize(
+    "flag", [["--mode", "strict"], ["--beta", "2"], ["--bandwidth-bits", "4"], ["--k-grid", "2"]]
+)
+def test_exact_subcommands_take_no_protocol_flags(command, flag):
+    rc, _, _ = run_cli([command, "gen:karate", "--seed-node", "0", "--t", "1"] + flag)
+    assert rc == 2
+
+
 def test_serial_flag():
     rc, out, _ = run_cli(
         ["hkpr", "gen:karate", "--seed-node", "0", "--t", "2.0", "--eps", "0.2",

@@ -22,7 +22,7 @@ from hkcluster.generators import (
     two_clique_bridge,
 )
 
-from helpers import every_node_run_protocol, ring_of_cliques
+from helpers import RecordingProtocol, every_node_run_protocol, ring_of_cliques
 
 
 class Flood(Protocol):
@@ -252,35 +252,14 @@ def test_active_set_schedule_matches_every_node_reference(
     assert both.runs == 6
 
 
-class CountingProtocol(Protocol):
-    """Delegates to ``inner`` and counts handler calls."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.handler_calls = 0
-
-    def initial_state(self, info):
-        return self.inner.initial_state(info)
-
-    def handle_round(self, info, state, inbox, ctx):
-        self.handler_calls += 1
-        return self.inner.handle_round(info, state, inbox, ctx)
-
-    def finished(self, info, state, pending, round_no):
-        return self.inner.finished(info, state, pending, round_no)
-
-    def finalize(self, info, state, pending):
-        return self.inner.finalize(info, state, pending)
-
-
 def test_chain_sweep_steps_only_busy_nodes_on_a_large_ring(monkeypatch):
     g = ring_of_cliques(100, 20)
     runs = []
 
     def counted(graph, protocol, config, trace=None):
-        counting = CountingProtocol(protocol)
-        outputs, stats = run_protocol(graph, counting, config, trace)
-        runs.append((counting.handler_calls, stats.rounds))
+        recording = RecordingProtocol(protocol)
+        outputs, stats = run_protocol(graph, recording, config, trace)
+        runs.append((recording.handler_calls, stats.rounds))
         return outputs, stats
 
     monkeypatch.setattr(sweep, "run_protocol", counted)
@@ -290,3 +269,22 @@ def test_chain_sweep_steps_only_busy_nodes_on_a_large_ring(monkeypatch):
     [(calls, rounds)] = runs
     # the every-node schedule makes n calls per round
     assert calls < g.node_count * rounds / 10
+
+
+def test_walk_steps_only_nodes_with_tokens_on_a_large_ring(monkeypatch):
+    g = ring_of_cliques(100, 20)
+    runs = []
+
+    def counted(graph, protocol, config, trace=None):
+        recording = RecordingProtocol(protocol)
+        outputs, stats = run_protocol(graph, recording, config, trace)
+        runs.append((recording.handler_calls, stats))
+        return outputs, stats
+
+    monkeypatch.setattr(distributed, "run_protocol", counted)
+    vec, _ = estimate_phkpr_distributed(g, 21, 3.0, 0.1, SimConfig(seed=3))
+    [(calls, stats)] = runs
+    assert stats.rounds == vec.step_cap
+    # round 1 steps every node; afterwards only nodes with mail and the
+    # seed, which stays awake for K rounds (n * K calls if every node were)
+    assert calls <= g.node_count + stats.total_messages + vec.step_cap

@@ -25,13 +25,16 @@ from hkcluster.generators import (
     random_connected_graph,
     two_clique_bridge,
 )
+from hkcluster import sweep
 from hkcluster.sweep import _float_rank
 
 from helpers import (
+    RecordingProtocol,
     direct_prefix_stats,
     fraction_sweep_exact,
     random_graph_pool,
     random_sparse_vector,
+    ring_of_cliques,
 )
 
 
@@ -271,19 +274,17 @@ def test_phase_two_ledger_bounds():
     from collections import Counter
 
     from hkcluster.congest import run_protocol
-    from hkcluster.sweep import SweepProtocol, _support_radius
+    from hkcluster.sweep import TreeSweepProtocol, _support_radius
 
     g = karate_club_graph()
     vec, _ = estimate_phkpr_distributed(g, 0, 3.0, 0.1, SimConfig(seed=21))
     values = {v: Fraction(x) for v, x in vec.entries.items()}
-    proto = SweepProtocol(
-        values, radius=_support_radius(g, vec), trunc_limit=10, log_messages=True
-    )
+    proto = RecordingProtocol(TreeSweepProtocol(values, _support_radius(g, vec), trunc_limit=10))
     states, stats = run_protocol(g, proto, SimConfig(seed=22))
     # whole run: a node handles at most one broadcast plus one receipt per
     # neighbor per round
     assert stats.max_node_messages <= 2 * g.max_degree + 2
-    triples = [(r, s, d) for r, tag, s, d in proto.message_log if tag == "tri"]
+    triples = [(r, s, d) for r, s, d, msg in proto.sent if msg[0] == "tri"]
     n_pi = next(s.pi_expected for s in states.values() if s.result is not None)
     assert n_pi == 10
     # one triple per tree edge per round; per-node phase-2 load stays within
@@ -346,6 +347,53 @@ def test_chain_rounds_track_pairwise_distances():
     radius = res.meta["support_radius"]
     # each handoff travels at most 2*radius hops; ordering flood adds N + depth
     assert res.meta["chain_rounds"] <= examined * max(2 * radius, 1) + len(vec.entries) + 2 * radius + 4
+
+
+@functools.lru_cache(maxsize=None)
+def chain_cases() -> dict:
+    """name -> (graph, vector, caps) for the chain sweep's profile check."""
+    cases = {}
+    karate = karate_club_graph()
+    karate_vec, _ = estimate_phkpr_distributed(karate, 0, 3.0, 0.1, SimConfig(seed=61))
+    for size_cap in (1, 5, 17):
+        cases[f"karate-size{size_cap}"] = karate, karate_vec, {"size_cap": size_cap}
+    bridge = two_clique_bridge(8)
+    bridge_vec, _ = estimate_phkpr_distributed(bridge, 2, 20.0, 0.1, SimConfig(seed=15))
+    cases["two-cliques:8-vol57"] = bridge, bridge_vec, {"volume_cap": 57}
+    ring = ring_of_cliques(10, 20)
+    ring_vec, _ = estimate_phkpr_distributed(ring, 21, 10.0, 0.05, SimConfig(seed=62))
+    cases["ring-10xK20"] = ring, ring_vec, {"size_cap": 20, "volume_cap": 20 * 19 + 2}
+    for i, g in enumerate(random_graph_pool(8, 40, base_seed=63)):
+        vec, _ = estimate_phkpr_distributed(g, 0, 2.0, 0.2, SimConfig(seed=64 + i))
+        cases[f"random-{i}"] = g, vec, {"size_cap": max(1, g.node_count // 3), "volume_cap": g.edge_count}
+    rng = np.random.default_rng(65)
+    full = vector_on({v: Fraction(int(rng.integers(1, 20)), 100) for v in range(karate.node_count)})
+    cases["karate-full-support"] = karate, full, {"size_cap": karate.node_count}
+    return cases
+
+
+CHAIN_CASES = (
+    ["karate-size1", "karate-size5", "karate-size17", "two-cliques:8-vol57", "ring-10xK20"]
+    + [f"random-{i}" for i in range(8)]
+    + ["karate-full-support"]
+)
+
+
+@pytest.mark.parametrize("name", CHAIN_CASES)
+def test_chain_profile_equals_capped_sweep_exact(monkeypatch, name):
+    g, vec, caps = chain_cases()[name]
+    with monkeypatch.context() as patched:
+        patched.setattr(sweep, "sweep_exact", None)  # the chain reads its nodes only
+        res, _ = chain_sweep(g, vec, config=SimConfig(seed=66), **caps)
+    ref = sweep_exact(g, vec, max_prefix=res.meta["examined_prefixes"])
+    assert res.profile == ref.profile
+    assert repr(res.profile) == repr(ref.profile)
+    assert res.ordering == ref.ordering
+    assert (res.best_prefix, res.best_ratio, res.best_set) == (
+        ref.best_prefix,
+        ref.best_ratio,
+        ref.best_set,
+    )
 
 
 def test_cross_check_cheeger_ratio_module():
