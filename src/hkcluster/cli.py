@@ -64,7 +64,9 @@ def _load_graph(spec: str) -> Graph:
 
 
 def _provenance(name: str, argv: list[str]) -> str:
-    return "flag" if f"--{name}" in argv else "default"
+    flag = f"--{name}"
+    given = any(a == flag or a.startswith(flag + "=") for a in argv)
+    return "flag" if given else "default"
 
 
 def _sim_config(args) -> SimConfig:
@@ -443,6 +445,9 @@ def _cmd_kmachine(args, argv: list[str]) -> str:
     return rep.render()
 
 
+# protocol flags that only the message-passing walk reads
+_NOT_SERIAL = ("k-grid", "trace", "mode", "beta", "bandwidth-bits")
+
 _HANDLERS = {
     "hkpr": _cmd_hkpr,
     "hkpr-exact": _cmd_hkpr_exact,
@@ -460,6 +465,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "hkpr" and args.serial:
+            for name in _NOT_SERIAL:
+                if _provenance(name, argv) == "flag":
+                    parser.error(f"hkpr --serial takes no --{name}: the serial walk has no rounds")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -1,5 +1,9 @@
 """Built-in test instances: paths, cycles, cliques, planted bridges, random
-connected graphs, and the classic 34-node karate club network."""
+connected graphs, and the classic 34-node karate club network.
+
+Each generator hands ``Graph.from_edges`` an (m, 2) integer array, which it
+takes without converting Python pairs.
+"""
 
 from __future__ import annotations
 
@@ -16,8 +20,12 @@ __all__ = [
     "karate_club_graph",
 ]
 
+# fewest candidates drawn per batch, so that a nearly saturated graph, where
+# few candidates are still needed but most are rejected, takes few batches
+_MIN_BATCH = 1024
+
 # Zachary's karate club (34 nodes, 78 edges), the standard 0-indexed edge set.
-_KARATE_EDGES = (
+_KARATE_EDGES = np.array((
     (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 8),
     (0, 10), (0, 11), (0, 12), (0, 13), (0, 17), (0, 19), (0, 21), (0, 31),
     (1, 2), (1, 3), (1, 7), (1, 13), (1, 17), (1, 19), (1, 21), (1, 30),
@@ -28,21 +36,24 @@ _KARATE_EDGES = (
     (22, 33), (23, 25), (23, 27), (23, 29), (23, 32), (23, 33), (24, 25), (24, 27),
     (24, 31), (25, 31), (26, 29), (26, 33), (27, 33), (28, 31), (28, 33), (29, 32),
     (29, 33), (30, 32), (30, 33), (31, 32), (31, 33), (32, 33),
-)
+))
+_KARATE_EDGES.flags.writeable = False
 
 
 def path_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    v = np.arange(n - 1)
+    return Graph.from_edges(n, np.column_stack((v, v + 1)))
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs at least 3 nodes")
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    v = np.arange(n)
+    return Graph.from_edges(n, np.column_stack((v, (v + 1) % n)))
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return Graph.from_edges(n, np.column_stack(np.triu_indices(n, 1)))
 
 
 def two_clique_bridge(clique_size: int) -> Graph:
@@ -53,49 +64,51 @@ def two_clique_bridge(clique_size: int) -> Graph:
     k = clique_size
     if k < 2:
         raise ValueError("clique size must be at least 2")
-    edges = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    edges += [(k + i, k + j) for i in range(k) for j in range(i + 1, k)]
-    edges.append((k - 1, k))
-    return Graph.from_edges(2 * k, edges)
+    clique = np.column_stack(np.triu_indices(k, 1))
+    return Graph.from_edges(2 * k, np.concatenate((clique, clique + k, [[k - 1, k]])))
 
 
-def random_connected_graph(
-    n: int,
-    extra_edges: int = 0,
-    seed: int = 0,
-    max_degree: int | None = None,
-) -> Graph:
+def random_connected_graph(n: int, extra_edges: int = 0, seed: int = 0) -> Graph:
     """Random spanning tree plus extra random edges; connected by construction.
 
-    Extra edges that would duplicate, self-loop, or exceed max_degree are
-    skipped after a bounded number of attempts.
+    Node v >= 1 hangs off a uniform parent in 0..v-1. Then candidate pairs
+    (u, v), each endpoint uniform in 0..n-1, are tried in draw order:
+    self-loops and pairs already taken are skipped, and the search stops
+    after ``extra_edges`` accepted pairs or 20 * (extra_edges + 1) candidates.
+
+    The draws come in arrays: all n - 1 parents in one call, the candidates
+    in (k, 2) batches. Numpy's bounded integers take one ``next_uint32`` per
+    value (plus rejections) whether drawn as a scalar or in an array, so the
+    stream, and with it every graph, equals that of one scalar draw per
+    value: parents first, then u and v of each candidate in turn. A batch
+    may draw past the last candidate used; the generator is discarded.
     """
     rng = np.random.default_rng(seed)
-    edges: set[tuple[int, int]] = set()
-    deg = [0] * n
-    for v in range(1, n):
-        u = int(rng.integers(0, v))
-        edges.add((u, v))
-        deg[u] += 1
-        deg[v] += 1
-    attempts = 0
-    added = 0
-    while added < extra_edges and attempts < 20 * (extra_edges + 1):
-        attempts += 1
-        u = int(rng.integers(0, n))
-        v = int(rng.integers(0, n))
-        if u == v:
-            continue
-        a, b = (u, v) if u < v else (v, u)
-        if (a, b) in edges:
-            continue
-        if max_degree is not None and (deg[a] >= max_degree or deg[b] >= max_degree):
-            continue
-        edges.add((a, b))
-        deg[a] += 1
-        deg[b] += 1
-        added += 1
-    return Graph.from_edges(n, edges)
+    children = np.arange(1, n, dtype=np.int64)
+    tree = np.column_stack((rng.integers(0, children), children))
+    taken = np.sort(tree[:, 0] * n + tree[:, 1])  # keys a * n + b with a < b
+    extras = []
+    need = extra_edges
+    budget = 20 * (extra_edges + 1)
+    while need > 0 and budget > 0:
+        size = min(budget, max(need, _MIN_BATCH))
+        budget -= size
+        pairs = np.sort(rng.integers(0, n, size=(size, 2)), axis=1)
+        keys = pairs[:, 0] * n + pairs[:, 1]
+        # a candidate is new if no earlier candidate of this batch drew its
+        # key (stable sort: the first draw comes first) and no taken edge
+        # has it; the keys are looked up in sorted order
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        slot = np.searchsorted(taken, sorted_keys)
+        in_taken = np.append(taken, -1)[slot] == sorted_keys  # -1 pads past the end
+        new = np.zeros(size, dtype=bool)
+        new[order] = np.r_[True, sorted_keys[1:] != sorted_keys[:-1]] & ~in_taken
+        accepted = np.flatnonzero(new & (pairs[:, 0] != pairs[:, 1]))[:need]
+        extras.append(pairs[accepted])
+        taken = np.sort(np.concatenate((taken, keys[accepted])))
+        need -= accepted.size
+    return Graph.from_edges(n, np.concatenate([tree, *extras]))
 
 
 def karate_club_graph() -> Graph:

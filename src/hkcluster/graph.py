@@ -5,12 +5,21 @@ substrate for clustering, so construction enforces the invariants every
 other module relies on: symmetric adjacency, no self-loops or duplicate
 edges, dense node IDs 0..n-1, and a single connected component.
 
+A graph is built on arrays: ``Graph.from_edges`` validates the pairs
+vectorized, turns each edge into two arcs keyed source * n + head, and one
+sort of those keys both orders the arcs as the CSR arrays do and puts
+duplicate arcs next to each other, where an adjacent-difference mask drops
+them. The degrees, offsets, the flat neighbour array and the per-node
+adjacency tuples all come from that sorted key array, and a BFS over the
+tuples checks connectivity. Every graph, however small, takes this path.
+
 Cheeger ratios are computed in exact rational arithmetic so that sweep
 recursions can be checked with bit-exact equality.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -33,9 +42,23 @@ class GraphError(ValueError):
     """Raised for malformed input or invariant violations during ingestion."""
 
 
+# the largest n whose arc keys u * n + v (u, v < n) all fit in an int64
+_MAX_NODES = math.isqrt(np.iinfo(np.int64).max)
+
+
+def _check_pair(n: int, u: int, v: int) -> None:
+    if not (0 <= u < n and 0 <= v < n):
+        raise GraphError(f"edge ({u},{v}) out of range for n={n}")
+    if u == v:
+        raise GraphError(f"self-loop at node {u}")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Connected undirected simple graph over node IDs 0..n-1.
+
+    Build it with ``from_edges``, which also stores the CSR arrays and the
+    edge count that ``csr_arrays`` and ``edge_count`` return.
 
     Attributes
     ----------
@@ -49,23 +72,52 @@ class Graph:
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+    def from_edges(n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> "Graph":
         """Build and validate a graph on n nodes from undirected edge pairs.
 
-        Duplicate edges are collapsed; self-loops and disconnected results
-        are rejected.
+        ``edges`` is any iterable of (u, v) pairs or an (m, 2) integer
+        array. Duplicate and reversed pairs are collapsed; out-of-range
+        endpoints, self-loops and disconnected results are rejected, and the
+        first bad pair in input order names the error.
         """
         if n < 1:
             raise GraphError("graph must have at least one node")
-        neighbor_sets: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise GraphError(f"self-loop at node {u}")
-            neighbor_sets[u].add(v)
-            neighbor_sets[v].add(u)
-        g = Graph(tuple(tuple(sorted(s)) for s in neighbor_sets))
+        if n > _MAX_NODES:
+            raise GraphError(f"n={n} exceeds the supported {_MAX_NODES} nodes")
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        arr = np.asarray(edges)
+        if arr.size == 0:
+            arr = np.empty((0, 2), dtype=np.int64)
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise GraphError("edges must be (u, v) pairs")
+        if arr.dtype.kind not in "iu":  # huge ints (object) or non-integers
+            for u, v in edges:
+                _check_pair(n, u, v)
+            raise GraphError("node IDs must be integers")
+        u, v = arr[:, 0], arr[:, 1]
+        bad = (u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v)
+        if bad.any():
+            i = int(np.argmax(bad))
+            _check_pair(n, int(u[i]), int(v[i]))
+        u = u.astype(np.int64)
+        v = v.astype(np.int64)
+        # each edge as two arcs keyed source * n + head; one sort orders the
+        # arcs as the CSR does, and equal neighbours of a sorted key are
+        # the duplicates (n <= _MAX_NODES keeps the keys inside int64)
+        keys = np.concatenate((u * n + v, v * n + u))
+        keys.sort()
+        fresh = np.ones(keys.size, dtype=bool)
+        fresh[1:] = keys[1:] != keys[:-1]
+        keys = keys[fresh]
+        src, flat = np.divmod(keys, n)
+        offsets = np.searchsorted(src, np.arange(n + 1))
+        degrees = np.diff(offsets)
+        heads = flat.tolist()
+        bounds = offsets.tolist()
+        g = Graph(tuple(tuple(heads[a:b]) for a, b in zip(bounds, bounds[1:])))
+        g._cache["csr"] = (flat, offsets, degrees)
+        g._cache["m"] = len(heads) // 2
         unreachable = g._first_unreachable()
         if unreachable is not None:
             raise GraphError(
@@ -74,19 +126,15 @@ class Graph:
         return g
 
     def _first_unreachable(self) -> int | None:
-        seen = [False] * self.node_count
-        queue = deque([0])
-        seen[0] = True
-        while queue:
-            u = queue.popleft()
+        seen = bytearray(self.node_count)
+        seen[0] = 1
+        queue = [0]
+        for u in queue:  # the list grows while it is read: a FIFO queue
             for w in self.adjacency[u]:
                 if not seen[w]:
-                    seen[w] = True
+                    seen[w] = 1
                     queue.append(w)
-        for v, ok in enumerate(seen):
-            if not ok:
-                return v
-        return None
+        return None if len(queue) == self.node_count else seen.index(0)
 
     # -- basic statistics --------------------------------------------------
 
@@ -96,10 +144,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        cached = self._cache.get("m")
-        if cached is None:
-            cached = self._cache["m"] = sum(len(a) for a in self.adjacency) // 2
-        return cached
+        return self._cache["m"]
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -114,20 +159,9 @@ class Graph:
     # -- cached views (used by the walk estimators and the sweep) ----------
 
     def csr_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return (flat_neighbors, offsets, degrees) as int64 arrays."""
-        cached = self._cache.get("csr")
-        if cached is None:
-            degrees = np.array([len(a) for a in self.adjacency], dtype=np.int64)
-            offsets = np.zeros(self.node_count + 1, dtype=np.int64)
-            np.cumsum(degrees, out=offsets[1:])
-            flat = np.fromiter(
-                (w for a in self.adjacency for w in a),
-                dtype=np.int64,
-                count=int(offsets[-1]),
-            )
-            cached = (flat, offsets, degrees)
-            self._cache["csr"] = cached
-        return cached
+        """Return (flat_neighbors, offsets, degrees) as int64 arrays, as
+        ``from_edges`` built them."""
+        return self._cache["csr"]
 
     def arc_sources(self) -> np.ndarray:
         """Source node of each arc in ``csr_arrays`` order, as int64."""
@@ -188,10 +222,11 @@ def load_edge_list(source: IO[str] | Iterable[str]) -> Graph:
     Format: one ``u v`` pair per line, nonnegative integer IDs, lines
     starting with ``#`` and blank lines ignored. Node count is max ID + 1;
     a gap in the IDs leaves an isolated node and is rejected as
-    disconnected.
+    disconnected, naming the smallest missing ID, before anything is
+    allocated per node.
     """
     edges: list[tuple[int, int]] = []
-    max_id = -1
+    ids: set[int] = set()
     for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -208,10 +243,14 @@ def load_edge_list(source: IO[str] | Iterable[str]) -> Graph:
         if u == v:
             raise GraphError(f"line {lineno}: self-loop at node {u}")
         edges.append((u, v))
-        max_id = max(max_id, u, v)
-    if max_id < 0:
+        ids.update((u, v))
+    if not ids:
         raise GraphError("edge list is empty")
-    return Graph.from_edges(max_id + 1, edges)
+    distinct = sorted(ids)
+    if len(distinct) < distinct[-1] + 1:
+        gap = next(i for i, v in enumerate(distinct) if i != v)
+        raise GraphError(f"graph is disconnected: node {gap} has no edges")
+    return Graph.from_edges(len(distinct), edges)
 
 
 def edge_list_text(g: Graph) -> str:

@@ -3,20 +3,22 @@
 These deliberately take different routes than the library: the diffusion
 oracle uses dense explicit matrix powers with scipy Poisson weights, the
 sweep oracle rescans every prefix from scratch, the reference sweep sorts
-exact Fraction ranks and walks the prefixes one node at a time, and the
-schedule oracle steps every node in every round.
+exact Fraction ranks and walks the prefixes one node at a time, the
+schedule oracle steps every node in every round, and the reference graph
+builders fill one Python set per node and draw one scalar per value.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
 from typing import Any
 
 import numpy as np
 from scipy import stats as sps
 
-from hkcluster import Graph, PhkprVector
+from hkcluster import Graph, GraphError, PhkprVector
 from hkcluster.congest import (
     NodeInfo,
     Protocol,
@@ -128,6 +130,67 @@ def fraction_sweep_exact(
         ordering=ranked[:last],
         rounds_charged=0,
     )
+
+
+def reference_from_edges(n: int, edges) -> tuple[tuple, tuple[np.ndarray, ...]]:
+    """Reference for ``Graph.from_edges``: one Python set per node, a sort per
+    node and a BFS over the tuples. Returns the adjacency tuples and the CSR
+    arrays (flat_neighbors, offsets, degrees) built from them."""
+    if n < 1:
+        raise GraphError("graph must have at least one node")
+    neighbor_sets: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise GraphError(f"self-loop at node {u}")
+        neighbor_sets[u].add(v)
+        neighbor_sets[v].add(u)
+    adjacency = tuple(tuple(sorted(s)) for s in neighbor_sets)
+    seen = [False] * n
+    queue = deque([0])
+    seen[0] = True
+    while queue:
+        u = queue.popleft()
+        for w in adjacency[u]:
+            if not seen[w]:
+                seen[w] = True
+                queue.append(w)
+    for v, ok in enumerate(seen):
+        if not ok:
+            raise GraphError(f"graph is disconnected: node {v} unreachable from node 0")
+    degrees = np.array([len(a) for a in adjacency], dtype=np.int64)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degrees, out=offsets[1:])
+    flat = np.fromiter(
+        (w for a in adjacency for w in a), dtype=np.int64, count=int(offsets[-1])
+    )
+    return adjacency, (flat, offsets, degrees)
+
+
+def reference_random_connected_graph(n: int, extra_edges: int = 0, seed: int = 0):
+    """Reference for ``generators.random_connected_graph``: one scalar
+    ``rng.integers`` call per value, candidates accepted one at a time.
+    Returns what ``reference_from_edges`` returns."""
+    rng = np.random.default_rng(seed)
+    edges: set[tuple[int, int]] = set()
+    for v in range(1, n):
+        u = int(rng.integers(0, v))
+        edges.add((u, v))
+    attempts = 0
+    added = 0
+    while added < extra_edges and attempts < 20 * (extra_edges + 1):
+        attempts += 1
+        u = int(rng.integers(0, n))
+        v = int(rng.integers(0, n))
+        if u == v:
+            continue
+        a, b = (u, v) if u < v else (v, u)
+        if (a, b) in edges:
+            continue
+        edges.add((a, b))
+        added += 1
+    return reference_from_edges(n, edges)
 
 
 def random_sparse_vector(g: Graph, rng: np.random.Generator, denom: int = 1000) -> PhkprVector:

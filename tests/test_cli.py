@@ -256,6 +256,26 @@ def test_serial_flag():
     assert "rounds" not in doc
 
 
+SERIAL_ARGS = ["hkpr", "gen:karate", "--seed-node", "0", "--t", "2.0", "--eps", "0.2",
+               "--seed", "4", "--serial"]
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [["--k-grid", "2,4"], ["--trace", "trace.txt"], ["--mode", "strict"], ["--beta", "2"],
+     ["--bandwidth-bits", "8"], ["--mode=paper"]],
+)
+def test_serial_rejects_protocol_flags(flag, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run_cli(SERIAL_ARGS + flag)
+    assert rc == 2
+    assert out == ""
+    assert "usage:" in err and "--serial takes no " + flag[0].split("=")[0] in err
+    assert not (tmp_path / "trace.txt").exists()
+    rc, _, _ = run_cli(SERIAL_ARGS[:-1] + flag)
+    assert rc == 0
+
+
 def test_strict_mode_reported():
     rc, out, _ = run_cli(HKPR_ARGS + ["--mode", "strict"])
     assert rc == 0

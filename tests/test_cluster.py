@@ -134,3 +134,37 @@ def test_sparse_cut_validation():
         sparse_cut(g, 0, 4, 13, 0.1)
     with pytest.raises(ValueError):
         sparse_cut(g, 99, 4, 13, 0.1)
+
+
+@pytest.mark.parametrize(
+    "size_cap,volume_cap,sweeps",
+    [(20, 381, ("chain_sweep", 1)), (40, 762, ("distributed_sweep", 0))],
+)
+def test_local_cluster_builds_the_ordering_only_in_the_chain_sweep(
+    size_cap, volume_cap, sweeps, monkeypatch
+):
+    """The cap check reads the support's size and volume from the vector;
+    only the chain sweep ranks the support, once."""
+    import hkcluster.cluster as cluster_mod
+    import hkcluster.sweep as sweep_mod
+
+    calls = {"build_ordering": 0, "chain_sweep": 0, "distributed_sweep": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (cluster_mod, sweep_mod):
+        counted(module, "build_ordering")
+    counted(cluster_mod, "chain_sweep")
+    counted(cluster_mod, "distributed_sweep")
+    req = ClusterRequest(seed=3, size_cap=size_cap, volume_cap=volume_cap, phi=1 / 381, eps=0.01)
+    local_cluster(PLANTED, req, SimConfig(seed=3))
+    name, orderings = sweeps
+    assert calls[name] == 1
+    assert calls["build_ordering"] == orderings
