@@ -166,6 +166,7 @@ def _parse_grid(text: str) -> list[int]:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hkcluster",
+        allow_abbrev=False,
         description="Heat kernel diffusion and local clustering on a simulated message-passing network.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -181,7 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, required=True, help="run RNG seed")
         p.add_argument("--k-grid", type=str, default=None, help="append k-machine bounds, e.g. 2,4,8")
 
-    p = sub.add_parser("hkpr", help="distributed walk estimate of the diffusion vector")
+    p = sub.add_parser("hkpr", help="distributed walk estimate of the diffusion vector", allow_abbrev=False)
     common(p)
     p.add_argument("--seed-node", type=int, required=True)
     p.add_argument("--t", type=float, required=True)
@@ -190,13 +191,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--serial", action="store_true", help="run the same walk centrally, without a ledger")
     p.add_argument("--trace", type=str, default=None, help="write per-round (u,v,bits) trace")
 
-    p = sub.add_parser("hkpr-exact", help="exact truncated-series diffusion vector")
+    p = sub.add_parser("hkpr-exact", help="exact truncated-series diffusion vector", allow_abbrev=False)
     graph(p)
     p.add_argument("--seed-node", type=int, required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-9)
 
-    p = sub.add_parser("sweep", help="estimate the diffusion, then sweep it")
+    p = sub.add_parser("sweep", help="estimate the diffusion, then sweep it", allow_abbrev=False)
     common(p)
     p.add_argument("--seed-node", type=int, required=True)
     p.add_argument("--t", type=float, required=True)
@@ -205,14 +206,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=int, default=None, help="size cap (switches to the chain sweep)")
     p.add_argument("--varsigma", type=int, default=None, help="volume cap (switches to the chain sweep)")
 
-    p = sub.add_parser("sweep-exact", help="sweep the exact diffusion vector (deterministic)")
+    p = sub.add_parser("sweep-exact", help="sweep the exact diffusion vector (deterministic)", allow_abbrev=False)
     graph(p)
     p.add_argument("--seed-node", type=int, required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--max-prefix", type=int, default=None)
 
-    p = sub.add_parser("cluster", help="local cluster from a seed with known target ratio")
+    p = sub.add_parser("cluster", help="local cluster from a seed with known target ratio", allow_abbrev=False)
     common(p)
     p.add_argument("--seed-node", type=int, required=True)
     p.add_argument("--phi", type=float, required=True)
@@ -223,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--t", type=float, default=None, help="override the derived diffusion time")
 
-    p = sub.add_parser("cluster-auto", help="local cluster with ratio halving")
+    p = sub.add_parser("cluster-auto", help="local cluster with ratio halving", allow_abbrev=False)
     common(p)
     p.add_argument("--seed-node", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
@@ -232,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c2", type=float, default=2.0)
     p.add_argument("--c", type=float, default=1.0)
 
-    p = sub.add_parser("sparsecut", help="minimum ratio over sampled seeds")
+    p = sub.add_parser("sparsecut", help="minimum ratio over sampled seeds", allow_abbrev=False)
     common(p)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
@@ -241,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c2", type=float, default=2.0)
     p.add_argument("--c", type=float, default=1.0)
 
-    p = sub.add_parser("kmachine", help="k-machine round bounds from measured complexities")
+    p = sub.add_parser("kmachine", help="k-machine round bounds from measured complexities", allow_abbrev=False)
     p.add_argument("--messages", type=int, required=True, help="message complexity M")
     p.add_argument("--cdeg", type=int, required=True, help="communication degree complexity C")
     p.add_argument("--rounds", type=int, required=True, help="round count T")

@@ -104,8 +104,9 @@ def local_cluster(
 ) -> ClusterOutcome:
     """Diffusion estimate followed by a sweep; returns the best prefix cut.
 
-    The early-stopping chain sweep is used when the size or volume target
-    actually binds the ranked support, otherwise the two-phase sweep runs.
+    The chain sweep, capped at the size and volume targets, is used when
+    either target binds the ranked support; otherwise the sweep over the
+    top ceil(1/eps) ranked nodes runs.
     Total rounds are the walk rounds plus the sweep rounds.
     """
     req.validate(g)

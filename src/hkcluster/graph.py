@@ -153,9 +153,6 @@ class Graph:
     def max_degree(self) -> int:
         return max(len(a) for a in self.adjacency)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
     # -- cached views (used by the walk estimators and the sweep) ----------
 
     def csr_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -191,26 +188,6 @@ class Graph:
                     dist[w] = dist[u] + 1
                     queue.append(w)
         return dist
-
-    def shortest_path(self, source: int, target: int) -> list[int]:
-        """One shortest path source..target, deterministic via min-ID parents."""
-        if source == target:
-            return [source]
-        parent = [-1] * self.node_count
-        parent[source] = source
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for w in self.adjacency[u]:  # ascending IDs: first parent is minimal
-                if parent[w] < 0:
-                    parent[w] = u
-                    if w == target:
-                        path = [w]
-                        while path[-1] != source:
-                            path.append(parent[path[-1]])
-                        return path[::-1]
-                    queue.append(w)
-        raise GraphError(f"no path from {source} to {target}")
 
 
 # -- ingestion and serialization -------------------------------------------

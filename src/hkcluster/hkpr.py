@@ -60,9 +60,6 @@ class PhkprVector:
     def value(self, v: int):
         return self.entries.get(v, 0)
 
-    def support(self) -> list[int]:
-        return sorted(self.entries)
-
     def total(self):
         return sum(self.entries.values())
 

@@ -15,22 +15,21 @@ is monotone, so one float sort places every node except inside runs of
 equal float keys, and only those runs are re-sorted by the exact rank.
 
 One scoring routine turns the (vol, boundary) sequence into the profile
-and picks the first minimum; three evaluation routes feed it:
+and picks the first minimum; two evaluation routes feed it:
 
-* ``sweep_exact``       -- centralized oracle, pure function; L_j is counted
+* ``sweep_exact``  -- centralized oracle, pure function; L_j is counted
   over the CSR arcs of the scored prefix only, so a capped sweep reads the
   arcs of its prefix and not the whole graph.
-* ``distributed_sweep`` -- the shared phase plus the tree tail. The shared
-  phase builds a priority BFS tree over the support (higher value/degree
-  wins the root), upcasts the ranked values to the root and floods the
-  root's ordering back. The tree tail upcasts (ID, L, R) triples and the
-  root applies the recursions. Upcasts are pipelined, one item per tree
-  edge per round.
-* ``chain_sweep``       -- the shared phase plus the chain tail: a running
-  (vol, boundary, best) packet hops along shortest paths between
-  consecutively ranked nodes and stops once a size or volume cap is
-  exceeded. Each node that scores a prefix keeps its (vol, boundary), and
-  the driver reads the profile from those node outputs.
+* the sweep protocol, behind ``distributed_sweep`` and ``chain_sweep``.
+  It builds a priority BFS tree over the support (higher value/degree wins
+  the root), upcasts the ranked values to the root and floods the root's
+  top ranked nodes back. Those nodes upcast their (ID, L, R) triples and
+  the root applies the recursions. Upcasts are pipelined, one item per
+  tree edge per round. The two drivers differ only in their caps:
+  ``distributed_sweep`` floods the top ceil(1/eps) ranked nodes;
+  ``chain_sweep`` floods the top size_cap (the whole support when only a
+  volume cap is given), and its root stops scoring before the first
+  prefix j >= 2 whose volume exceeds volume_cap.
 
 In the distributed sweep an estimated vector is considered only down to the
 top ceil(1/eps) ranked nodes: lower entries are below the resolution the
@@ -222,15 +221,10 @@ _VDONE = "vdone"  # (tag, subtree_support_count)
 _PLEN = "plen"    # (tag, ordering_length)
 _PENT = "pent"    # (tag, position 1-based, node_id)
 _TRI = "tri"      # (tag, origin_id, left_count, right_count)
-_CHAIN = "chain"  # (tag, prefix_j, vol, boundary, best_num, best_den, best_j, route)
 
 
 def _bits(msg: tuple) -> int:
-    if msg[0] == _CHILD:
-        return 1
-    if msg[0] == _CHAIN:
-        return uint_bits(*msg[1:7])  # the route is simulator plumbing, not payload
-    return uint_bits(*msg[1:])
+    return 1 if msg[0] == _CHILD else uint_bits(*msg[1:])
 
 
 _ABSENT = 1 << 60
@@ -245,11 +239,12 @@ class _SweepState:
     parent: int | None = None
     pending_cand: bool = False
     children: list[int] = field(default_factory=list)
-    # upcast toward the root (values; the tree tail adds its triples)
+    # upcast toward the root (values, then (ID, L, R) triples)
     up_items: deque = field(default_factory=deque)
     vdone_from: dict[int, int] = field(default_factory=dict)
     own_value_handled: bool = False
     sent_vdone: bool = False
+    counted: bool = False  # own triple handed on
     # ordering flood
     flood_buf: deque = field(default_factory=deque)
     pi_expected: int | None = None
@@ -259,26 +254,37 @@ class _SweepState:
     collected: list[tuple[Fraction, int]] = field(default_factory=list)
     pi_seq: list[tuple] | None = None
     flood_ptr: int = 0
+    triples: dict[int, tuple[int, int]] = field(default_factory=dict)  # pos -> (L, R)
+    result: tuple | None = None  # (ordering, profile, best prefix)
 
 
 class SweepProtocol(Protocol):
-    """The phase both sweeps share: priority-BFS tree over the flood region,
-    CHILD announce, ranked-value upcast closed by VDONE counts, and the
-    root's ordering flood toward subtrees holding ranked nodes. A tail
-    subclass takes over at each node that knows the whole ordering."""
+    """Priority-BFS tree over the flood region, CHILD announce, ranked-value
+    upcast closed by VDONE counts, and the root's flood of the top
+    ``trunc_limit`` ranked nodes (all of them when None) toward subtrees
+    holding ranked nodes. Every flooded node then upcasts its (ID, L, R)
+    triple, and the root scores the prefixes 1, 2, ... up to the first
+    prefix j >= 2 whose volume exceeds ``volume_cap``, which it leaves out.
+    ``mode`` only labels the run: "tree" or "chain"."""
 
-    mode: str  # "tree" | "chain"
-    state_type: type[_SweepState]
-    trunc_limit: int | None = None  # the root floods at most this many ranked nodes
-
-    def __init__(self, values: dict[int, Fraction], radius: int):
+    def __init__(
+        self,
+        values: dict[int, Fraction],
+        radius: int,
+        trunc_limit: int | None,
+        volume_cap: int | None = None,
+        mode: str = "tree",
+    ):
         self.values = values
         self.budget = 2 * radius
         self.flood_rounds = 2 * radius + 1
         self.announce_round = self.flood_rounds + 1
+        self.trunc_limit = trunc_limit
+        self.volume_cap = volume_cap
+        self.mode = mode
 
     def initial_state(self, info: NodeInfo) -> _SweepState:
-        state = self.state_type()
+        state = _SweepState()
         if info.node in self.values:
             state.rank = self.values[info.node] / max(1, info.degree)
             state.best_prio = (state.rank, -info.node)
@@ -312,7 +318,12 @@ class SweepProtocol(Protocol):
                     state.up_items.append(msg)
             elif tag == _VDONE:
                 state.vdone_from[sender] = msg[1]
-            elif tag in (_PLEN, _PENT):
+            elif tag == _TRI:
+                if state.parent is None:
+                    state.triples[state.pi_pos[msg[1]]] = (msg[2], msg[3])
+                else:
+                    state.up_items.append(msg)
+            else:  # _PLEN or _PENT
                 if tag == _PLEN:
                     state.pi_expected = msg[1]
                 else:
@@ -320,8 +331,6 @@ class SweepProtocol(Protocol):
                     state.pi_pos[msg[2]] = msg[1]
                 if any(state.vdone_from.get(c, 0) > 0 for c in state.children):
                     state.flood_buf.append(msg)
-            else:
-                self._receive(state, msg)
 
     def handle_round(self, info: NodeInfo, state: _SweepState, inbox, ctx):
         self._fold(state, inbox)
@@ -344,7 +353,6 @@ class SweepProtocol(Protocol):
                 out.append((state.parent, msg, _bits(msg)))
             return out
 
-        self._relay(state, out)
         if state.best_prio is None:
             return out  # outside the flood region; nothing else to do
 
@@ -375,19 +383,24 @@ class SweepProtocol(Protocol):
         if state.flood_buf:
             self._flood_down(state, state.flood_buf.popleft(), out)
 
-        if state.pi_expected is not None and len(state.pi_ids) == state.pi_expected:
-            self._tail(info, state, out, round_no)
+        if len(state.pi_ids) == state.pi_expected:  # the whole ordering is known
+            position = state.pi_pos.get(info.node)
+            if position is not None and not state.counted:
+                state.counted = True
+                left = sum(1 for w in info.neighbors if state.pi_pos.get(w, _ABSENT) < position)
+                if is_root:
+                    state.triples[position] = (left, info.degree - left)
+                else:
+                    state.up_items.append((_TRI, info.node, left, info.degree - left))
+            if is_root and state.result is None and len(state.triples) == state.pi_expected:
+                self._score_at_root(info, state)
         return out
-
-    @staticmethod
-    def _left_count(info: NodeInfo, state: _SweepState, position: int) -> int:
-        return sum(1 for w in info.neighbors if state.pi_pos.get(w, _ABSENT) < position)
 
     def _root_round(self, state: _SweepState, children_done: bool, out) -> None:
         if state.pi_seq is None and children_done:
             ranked = sorted(state.collected, key=lambda it: (-it[0], it[1]))
             if self.trunc_limit is not None:
-                ranked = ranked[: max(1, self.trunc_limit)]
+                ranked = ranked[: self.trunc_limit]
             seq: list[tuple] = [(_PLEN, len(ranked))]
             for position, (_, node) in enumerate(ranked, start=1):
                 seq.append((_PENT, position, node))
@@ -406,6 +419,21 @@ class SweepProtocol(Protocol):
             if state.vdone_from.get(c, 0) > 0:
                 out.append((c, msg, _bits(msg)))
 
+    def _score_at_root(self, info: NodeInfo, state: _SweepState) -> None:
+        """Score the prefixes from the triples, reading each degree as L + R;
+        the first prefix is always scored and the full vertex set never."""
+        counts = []
+        vol = boundary = 0
+        for j in range(1, _last_prefix(info.n, state.pi_expected, None) + 1):
+            left, right = state.triples[j]
+            vol += left + right
+            if j > 1 and self.volume_cap is not None and vol > self.volume_cap:
+                break
+            boundary += right - left
+            counts.append((vol, boundary))
+        profile, best_j = _score(counts, 2 * info.m)
+        state.result = (tuple(state.pi_ids[j] for j in range(1, len(counts) + 1)), profile, best_j)
+
     def finished(self, info, state: _SweepState, pending, round_no: int) -> bool:
         if pending:
             return False
@@ -416,158 +444,8 @@ class SweepProtocol(Protocol):
         if state.up_items or state.flood_buf:
             return False
         if state.parent is None:
-            return self._root_done(state)
+            return state.result is not None
         return state.sent_vdone
-
-    # -- tail hooks ---------------------------------------------------------------
-
-    def _receive(self, state: _SweepState, msg: tuple) -> None:
-        """Fold one tail message."""
-        raise NotImplementedError
-
-    def _relay(self, state: _SweepState, out) -> None:
-        """Forward tail traffic that needs no tree or ordering state."""
-
-    def _tail(self, info: NodeInfo, state: _SweepState, out, round_no: int) -> None:
-        """One round of the tail at a node that knows the whole ordering."""
-        raise NotImplementedError
-
-    def _root_done(self, state: _SweepState) -> bool:
-        return state.pi_seq is not None and state.flood_ptr >= len(state.pi_seq)
-
-
-@dataclass
-class _TreeState(_SweepState):
-    counted: bool = False  # own (ID, L, R) triple handed on
-    triples: dict[int, tuple[int, int]] = field(default_factory=dict)  # root: pos -> (L, R)
-    result: tuple | None = None  # root: (ordering, profile, best prefix)
-
-
-class TreeSweepProtocol(SweepProtocol):
-    """Tree tail: every ranked node upcasts its (ID, L, R) triple and the
-    root scores the prefixes once it holds them all."""
-
-    mode = "tree"
-    state_type = _TreeState
-
-    def __init__(self, values: dict[int, Fraction], radius: int, trunc_limit: int | None):
-        super().__init__(values, radius)
-        self.trunc_limit = trunc_limit
-
-    def _receive(self, state: _TreeState, msg: tuple) -> None:
-        if state.parent is None:
-            state.triples[state.pi_pos[msg[1]]] = (msg[2], msg[3])
-        else:
-            state.up_items.append(msg)
-
-    def _tail(self, info: NodeInfo, state: _TreeState, out, round_no: int) -> None:
-        is_root = state.parent is None
-        position = state.pi_pos.get(info.node)
-        if position is not None and not state.counted:
-            state.counted = True
-            left = self._left_count(info, state, position)
-            if is_root:
-                state.triples[position] = (left, info.degree - left)
-            else:
-                state.up_items.append((_TRI, info.node, left, info.degree - left))
-        if is_root and state.result is None and len(state.triples) == state.pi_expected:
-            self._score_at_root(info, state)
-
-    @staticmethod
-    def _score_at_root(info: NodeInfo, state: _TreeState) -> None:
-        last = _last_prefix(info.n, state.pi_expected, None)
-        counts = []
-        vol = boundary = 0
-        for j in range(1, last + 1):
-            left, right = state.triples[j]
-            vol += left + right
-            boundary += right - left
-            counts.append((vol, boundary))
-        profile, best_j = _score(counts, 2 * info.m)
-        state.result = (tuple(state.pi_ids[j] for j in range(1, last + 1)), profile, best_j)
-
-    def _root_done(self, state: _TreeState) -> bool:
-        return state.result is not None
-
-
-@dataclass
-class _ChainState(_SweepState):
-    chain_pending: tuple | None = None
-    chain_final: tuple | None = None  # (best_num, best_den, best_j, examined)
-    chain_start: int | None = None  # round the first ranked node sent the packet
-    scored: tuple[int, int, int] | None = None  # (j, vol, boundary) of the prefix S_j it closes
-
-
-class ChainSweepProtocol(SweepProtocol):
-    """Chain tail: a (j, vol, boundary, best) packet travels from each
-    ranked node to the next along a shortest path and stops at the first
-    prefix beyond size_cap or volume_cap; the first prefix is always
-    scored."""
-
-    mode = "chain"
-    state_type = _ChainState
-
-    def __init__(
-        self,
-        values: dict[int, Fraction],
-        radius: int,
-        size_cap: int | None,
-        volume_cap: int | None,
-        routes: dict[tuple[int, int], tuple[int, ...]],
-    ):
-        super().__init__(values, radius)
-        self.size_cap = size_cap
-        self.volume_cap = volume_cap
-        self.routes = routes
-
-    def _receive(self, state: _ChainState, msg: tuple) -> None:
-        state.chain_pending = msg
-
-    def _relay(self, state: _ChainState, out) -> None:
-        msg = state.chain_pending
-        if msg is not None and msg[7]:
-            state.chain_pending = None
-            fwd = msg[:7] + (msg[7][1:],)
-            out.append((msg[7][0], fwd, _bits(fwd)))
-
-    def _tail(self, info: NodeInfo, state: _ChainState, out, round_no: int) -> None:
-        if state.chain_start is None and state.pi_pos.get(info.node) == 1:
-            state.chain_start = round_no
-            self._visit(info, state, out, 1, 0, 0, 0, 1, 0)
-        msg = state.chain_pending
-        if msg is not None:
-            state.chain_pending = None
-            _, j, vol, boundary, best_num, best_den, best_j, _ = msg
-            self._visit(info, state, out, j + 1, vol, boundary, best_num, best_den, best_j)
-
-    def _visit(
-        self, info, state: _ChainState, out, position, vol, boundary, best_num, best_den, best_j
-    ) -> None:
-        """Extend the packet's prefix S_{position-1} by this node, the one
-        ranked ``position``, and send it on, or stop at a cap."""
-        d = info.degree
-        vol += d
-        if position > 1 and (
-            (self.size_cap is not None and position > self.size_cap)
-            or (self.volume_cap is not None and vol > self.volume_cap)
-        ):
-            state.chain_final = (best_num, best_den, best_j, position - 1)
-            return
-        boundary += d - 2 * self._left_count(info, state, position)
-        if position < info.n:  # the full vertex set is not scored
-            state.scored = (position, vol, boundary)
-            ratio = Fraction(boundary, min(vol, 2 * info.m - vol))
-            if best_j == 0 or ratio < Fraction(best_num, best_den):
-                best_num, best_den, best_j = ratio.numerator, ratio.denominator, position
-        if position >= state.pi_expected:
-            state.chain_final = (best_num, best_den, best_j, position)
-            return
-        route = self.routes[(info.node, state.pi_ids[position + 1])]
-        msg = (_CHAIN, position, vol, boundary, best_num, best_den, best_j, route[1:])
-        out.append((route[0], msg, _bits(msg)))
-
-    def finished(self, info, state: _ChainState, pending, round_no: int) -> bool:
-        return state.chain_pending is None and super().finished(info, state, pending, round_no)
 
 
 # ---------------------------------------------------------------------------
@@ -575,31 +453,27 @@ class ChainSweepProtocol(SweepProtocol):
 # ---------------------------------------------------------------------------
 
 
-def _coerced_values(vec: PhkprVector) -> dict[int, Fraction]:
-    if not vec.entries:
-        raise ValueError("cannot sweep an empty vector")
-    return {v: Fraction(val) for v, val in vec.entries.items()}
-
-
 def _support_radius(g: Graph, vec: PhkprVector) -> int:
     dist = g.bfs_distances(vec.seed)
     return max(dist[v] for v in vec.entries)
 
 
-def distributed_sweep(
-    g: Graph, vec: PhkprVector, eps: float, config: SimConfig
+def _run_sweep(
+    g: Graph,
+    vec: PhkprVector,
+    config: SimConfig,
+    mode: str,
+    trunc_limit: int | None,
+    volume_cap: int | None = None,
 ) -> tuple[SweepResult, RoundStats]:
-    """Two-phase sweep protocol (tree upcast); considers the top ceil(1/eps)
-    ranked nodes and returns the same (best prefix, ratio, profile) as the
-    equally capped centralized oracle."""
+    """Run the sweep protocol and read the result from the root."""
     if g.node_count < 2:
         raise ValueError("sweep needs at least two nodes")
-    if not 0 < eps < 1:
-        raise ValueError("eps must be in (0, 1)")
-    values = _coerced_values(vec)
+    if not vec.entries:
+        raise ValueError("cannot sweep an empty vector")
+    values = {v: Fraction(val) for v, val in vec.entries.items()}
     radius = _support_radius(g, vec)
-    trunc = ceil(1 / eps)
-    protocol = TreeSweepProtocol(values, radius, trunc)
+    protocol = SweepProtocol(values, radius, trunc_limit, volume_cap, mode)
     states, stats = run_protocol(g, protocol, config)
     ordering, profile, best_j = next(s.result for s in states.values() if s.result is not None)
     result = SweepResult(
@@ -610,16 +484,26 @@ def distributed_sweep(
         ordering=ordering,
         rounds_charged=stats.rounds,
         meta={
-            "mode": "tree",
+            "mode": mode,
             "support_radius": radius,
-            "trunc_limit": trunc,
+            "trunc_limit": trunc_limit,
+            "examined_prefixes": len(profile),
             "tree_build_rounds": protocol.announce_round,
-            # rounds <= a*ceil(1/eps) + b*max(radius,1) + const, radius <= step cap
-            "round_bound_a": 3,
-            "round_bound_b": 12,
-            "round_bound_const": 12,
         },
     )
+    return result, stats
+
+
+def distributed_sweep(
+    g: Graph, vec: PhkprVector, eps: float, config: SimConfig
+) -> tuple[SweepResult, RoundStats]:
+    """Sweep protocol over the top ceil(1/eps) ranked nodes; returns the same
+    (best prefix, ratio, profile) as the equally capped centralized oracle."""
+    if not 0 < eps < 1:
+        raise ValueError("eps must be in (0, 1)")
+    result, stats = _run_sweep(g, vec, config, "tree", ceil(1 / eps))
+    # rounds <= a*ceil(1/eps) + b*max(radius,1) + const, radius <= step cap
+    result.meta.update(round_bound_a=3, round_bound_b=12, round_bound_const=12)
     return result, stats
 
 
@@ -630,44 +514,14 @@ def chain_sweep(
     volume_cap: int | None = None,
     config: SimConfig = SimConfig(),
 ) -> tuple[SweepResult, RoundStats]:
-    """Relay sweep along the ranked order with early stopping at the first
-    prefix whose size exceeds size_cap or volume exceeds volume_cap. The
-    first prefix is always scored. The profile and ordering are read from
-    the nodes that scored a prefix; the best prefix and ratio from the
-    packet."""
-    if g.node_count < 2:
-        raise ValueError("sweep needs at least two nodes")
+    """Sweep protocol with early stopping: the root floods the top size_cap
+    ranked nodes (the whole support when only volume_cap is given) and
+    scores the prefixes up to the first one whose volume exceeds
+    volume_cap. The first prefix is always scored."""
     if size_cap is None and volume_cap is None:
         raise ValueError("at least one of size_cap/volume_cap is required")
     if size_cap is not None and size_cap < 1:
         raise ValueError("size_cap must be at least 1")
     if volume_cap is not None and volume_cap < 1:
         raise ValueError("volume_cap must be at least 1")
-    values = _coerced_values(vec)
-    radius = _support_radius(g, vec)
-    ranked = build_ordering(g, vec).ranked_nodes
-    routes = {(a, b): tuple(g.shortest_path(a, b)[1:]) for a, b in zip(ranked, ranked[1:])}
-    protocol = ChainSweepProtocol(values, radius, size_cap, volume_cap, routes)
-    states, stats = run_protocol(g, protocol, config)
-    scored = sorted((s.scored, v) for v, s in states.items() if s.scored is not None)
-    profile, _ = _score([(vol, boundary) for (_, vol, boundary), _ in scored], 2 * g.edge_count)
-    ordering = tuple(v for _, v in scored)
-    best_num, best_den, best_j, examined = next(
-        s.chain_final for s in states.values() if s.chain_final is not None
-    )
-    chain_start = next(s.chain_start for s in states.values() if s.chain_start is not None)
-    result = SweepResult(
-        best_prefix=best_j,
-        best_set=frozenset(ordering[:best_j]),
-        best_ratio=Fraction(best_num, best_den),
-        profile=profile,
-        ordering=ordering,
-        rounds_charged=stats.rounds,
-        meta={
-            "mode": "chain",
-            "support_radius": radius,
-            "examined_prefixes": examined,
-            "chain_rounds": stats.rounds - chain_start + 1,
-        },
-    )
-    return result, stats
+    return _run_sweep(g, vec, config, "chain", size_cap, volume_cap)

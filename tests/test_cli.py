@@ -77,6 +77,11 @@ def test_cluster_recovers_planted_clique_via_cli():
                                 "--rounds", "10", "--k-grid", "2,4,8,10,16"]),
         ("sweep_exact_karate.txt", ["sweep-exact", "gen:karate", "--seed-node", "0",
                                     "--t", "3", "--max-prefix", "10"]),
+        ("sweep_karate_tree.txt", ["sweep", "gen:karate", "--seed-node", "3", "--t", "3",
+                                   "--eps", "0.2", "--seed", "7"]),
+        ("cluster_two_cliques_chain.txt", ["cluster", "gen:two-cliques:20", "--seed-node", "3",
+                                           "--phi", "0.0027", "--eps", "0.01", "--sigma", "20",
+                                           "--varsigma", "381", "--seed", "7"]),
     ],
 )
 def test_golden_reports(name, argv):
@@ -274,6 +279,20 @@ def test_serial_rejects_protocol_flags(flag, tmp_path, monkeypatch):
     assert not (tmp_path / "trace.txt").exists()
     rc, _, _ = run_cli(SERIAL_ARGS[:-1] + flag)
     assert rc == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [SERIAL_ARGS + ["--band", "8"],
+     ["hkpr", "gen:karate", "--seed-node", "0", "--t", "2", "--ep", "0.2", "--seed", "4"]],
+)
+def test_flag_abbreviations_are_rejected(argv):
+    """An abbreviated flag would slip past the --serial check, and be
+    reported with its default's provenance."""
+    rc, out, err = run_cli(argv)
+    assert rc == 2
+    assert out == ""
+    assert "usage:" in err
 
 
 def test_strict_mode_reported():

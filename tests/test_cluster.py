@@ -18,8 +18,11 @@ from hkcluster.cluster import T_MAX, T_MIN
 from hkcluster.generators import (
     complete_graph,
     cycle_graph,
+    random_connected_graph,
     two_clique_bridge,
 )
+
+from helpers import RecordingProtocol
 
 
 PLANTED = two_clique_bridge(20)
@@ -137,14 +140,12 @@ def test_sparse_cut_validation():
 
 
 @pytest.mark.parametrize(
-    "size_cap,volume_cap,sweeps",
-    [(20, 381, ("chain_sweep", 1)), (40, 762, ("distributed_sweep", 0))],
+    "size_cap,volume_cap,sweep",
+    [(20, 381, "chain_sweep"), (40, 762, "distributed_sweep")],
 )
-def test_local_cluster_builds_the_ordering_only_in_the_chain_sweep(
-    size_cap, volume_cap, sweeps, monkeypatch
-):
-    """The cap check reads the support's size and volume from the vector;
-    only the chain sweep ranks the support, once."""
+def test_local_cluster_builds_no_sweep_ordering(size_cap, volume_cap, sweep, monkeypatch):
+    """The cap check reads the support's size and volume from the vector,
+    and neither sweep ranks the support centrally: the protocol's root does."""
     import hkcluster.cluster as cluster_mod
     import hkcluster.sweep as sweep_mod
 
@@ -165,6 +166,28 @@ def test_local_cluster_builds_the_ordering_only_in_the_chain_sweep(
     counted(cluster_mod, "distributed_sweep")
     req = ClusterRequest(seed=3, size_cap=size_cap, volume_cap=volume_cap, phi=1 / 381, eps=0.01)
     local_cluster(PLANTED, req, SimConfig(seed=3))
-    name, orderings = sweeps
-    assert calls[name] == 1
-    assert calls["build_ordering"] == orderings
+    assert calls[sweep] == 1
+    assert calls["build_ordering"] == 0
+
+
+def test_chain_sweep_floods_only_the_size_cap(monkeypatch):
+    """The support is all n nodes, yet the root floods the ordering length
+    and only the top size_cap ranked nodes, each at most once per tree edge."""
+    import hkcluster.sweep as sweep_mod
+
+    recorders = []
+    inner = sweep_mod.run_protocol
+
+    def recorded(g, protocol, config):
+        recorders.append(RecordingProtocol(protocol))
+        return inner(g, recorders[-1], config)
+
+    monkeypatch.setattr(sweep_mod, "run_protocol", recorded)
+    g = random_connected_graph(1000, 2000, seed=1)
+    req = ClusterRequest(seed=0, size_cap=20, volume_cap=382, phi=1 / 191, eps=0.1)
+    outcome = local_cluster(g, req, SimConfig(seed=3))
+    assert outcome.sweep.meta["mode"] == "chain"
+    assert len(outcome.vector.entries) == g.node_count
+    (rec,) = recorders
+    flood = sum(1 for _, _, _, msg in rec.sent if msg[0] in ("plen", "pent"))
+    assert flood <= (req.size_cap + 1) * (g.node_count - 1)

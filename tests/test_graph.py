@@ -229,12 +229,6 @@ def test_from_edges_validation():
         Graph.from_edges(2, [(0, 5)])
 
 
-def test_shortest_path_deterministic():
-    c6 = cycle_graph(6)
-    assert c6.shortest_path(0, 3) == [0, 1, 2, 3]  # min-ID parent tie-break
-    assert c6.shortest_path(2, 2) == [2]
-
-
 def test_cached_views_match_adjacency():
     g = random_connected_graph(200, 300, seed=4)
     flat, offsets, degrees = g.csr_arrays()
