@@ -12,7 +12,9 @@ payload carries an explicit bit size. Two accounting modes:
 
 Execution is sequential over nodes in ascending ID order with one derived
 random stream per round, so identical (graph, protocol, config) always
-reproduces identical outputs and statistics.
+reproduces identical outputs and statistics. Each inbox therefore lists its
+messages in ascending sender order, and one sender's messages in the order
+it sent them; protocols may rely on this.
 
 Scheduling follows the work, not the graph size. Round 1 steps every node.
 From round 2 on, a round steps only the nodes that are unfinished or have
@@ -157,7 +159,9 @@ class Protocol:
 
     The simulator relies on this contract: a finished node stays finished
     until mail arrives, and its handler with an empty inbox is a no-op (it
-    sends nothing, changes no state and draws no randomness).
+    sends nothing, changes no state and draws no randomness). In return,
+    every inbox (and ``pending``) lists its (sender, payload) pairs in
+    ascending sender order, one sender's messages in the order it sent them.
     """
 
     def initial_state(self, info: NodeInfo) -> Any:

@@ -22,10 +22,14 @@ and picks the first minimum; two evaluation routes feed it:
   arcs of its prefix and not the whole graph.
 * the sweep protocol, behind ``distributed_sweep`` and ``chain_sweep``.
   It builds a priority BFS tree over the support (higher value/degree wins
-  the root), upcasts the ranked values to the root and floods the root's
-  top ranked nodes back. Those nodes upcast their (ID, L, R) triples and
-  the root applies the recursions. Upcasts are pipelined, one item per
-  tree edge per round. The two drivers differ only in their caps:
+  the root). A merge upcast brings the ranked values to the root: each
+  node forwards the largest of its own value and its children's stream
+  heads, one per round, and stops after the cap, so the upcast takes
+  O(cap + depth) rounds. The root floods its top ranked nodes, headed by
+  the last one's (rank, ID), and each node passes the flood only to
+  children whose largest value ranks at least that high. The flooded
+  nodes upcast their (ID, L, R) triples and the root applies the
+  recursions. The two drivers differ only in their caps:
   ``distributed_sweep`` floods the top ceil(1/eps) ranked nodes;
   ``chain_sweep`` floods the top size_cap (the whole support when only a
   volume cap is given), and its root stops scoring before the first
@@ -218,7 +222,7 @@ _CAND = "cand"    # (tag, rank_num, rank_den, root_id, dist)
 _CHILD = "child"  # (tag,)
 _VAL = "val"      # (tag, rank_num, rank_den, origin_id)
 _VDONE = "vdone"  # (tag, subtree_support_count)
-_PLEN = "plen"    # (tag, ordering_length)
+_PLEN = "plen"    # (tag, ordering_length, last_rank_num, last_rank_den, last_id)
 _PENT = "pent"    # (tag, position 1-based, node_id)
 _TRI = "tri"      # (tag, origin_id, left_count, right_count)
 
@@ -227,31 +231,44 @@ def _bits(msg: tuple) -> int:
     return 1 if msg[0] == _CHILD else uint_bits(*msg[1:])
 
 
+def _outranks(a: tuple, b: tuple) -> bool:
+    """Whether the message ``a`` = (tag, rank_num, rank_den, id, ...) ranks
+    before ``b``: larger rank, ties by smaller ID. Denominators are
+    positive, so ranks compare by cross-multiplying, with no Fraction."""
+    lhs, rhs = a[1] * b[2], b[1] * a[2]
+    return lhs > rhs or (lhs == rhs and a[3] < b[3])
+
+
 _ABSENT = 1 << 60
 
 
 @dataclass
 class _SweepState:
-    rank: Fraction | None = None
+    own: tuple | None = None  # this node's VAL item, until merged
     # priority BFS
-    best_prio: tuple | None = None  # (rank, -id); larger wins
+    best_prio: tuple | None = None  # (tag, rank_num, rank_den, root_id); larger wins
     best_dist: int = 0
     parent: int | None = None
     pending_cand: bool = False
     children: list[int] = field(default_factory=list)
-    # upcast toward the root (values, then (ID, L, R) triples)
-    up_items: deque = field(default_factory=deque)
+    # merge upcast of the ranked values
+    queues: dict[int, deque] = field(default_factory=dict)  # child -> its VALs
+    first: dict[int, tuple] = field(default_factory=dict)   # child -> its largest VAL
     vdone_from: dict[int, int] = field(default_factory=dict)
-    own_value_handled: bool = False
+    merged: int = 0
+    closed: bool = False  # own stream ended; later VALs are dropped
     sent_vdone: bool = False
+    # (ID, L, R) triples toward the root
+    up_items: deque = field(default_factory=deque)
     counted: bool = False  # own triple handed on
     # ordering flood
+    flood_to: list[int] = field(default_factory=list)
     flood_buf: deque = field(default_factory=deque)
     pi_expected: int | None = None
     pi_ids: dict[int, int] = field(default_factory=dict)   # position -> node
     pi_pos: dict[int, int] = field(default_factory=dict)   # node -> position
     # root bookkeeping
-    collected: list[tuple[Fraction, int]] = field(default_factory=list)
+    ranked: list[tuple] = field(default_factory=list)
     pi_seq: list[tuple] | None = None
     flood_ptr: int = 0
     triples: dict[int, tuple[int, int]] = field(default_factory=dict)  # pos -> (L, R)
@@ -259,10 +276,13 @@ class _SweepState:
 
 
 class SweepProtocol(Protocol):
-    """Priority-BFS tree over the flood region, CHILD announce, ranked-value
-    upcast closed by VDONE counts, and the root's flood of the top
-    ``trunc_limit`` ranked nodes (all of them when None) toward subtrees
-    holding ranked nodes. Every flooded node then upcasts its (ID, L, R)
+    """Priority-BFS tree over the flood region, CHILD announce, and a merge
+    upcast of the ranked values: each node forwards its subtree's values in
+    rank order, at most ``trunc_limit`` of them (all when None), then VDONE
+    with its exact subtree support count. The root floods the top
+    ``trunc_limit`` ranked nodes, headed by the last one's (rank, ID), and
+    each node passes the flood only to children whose largest value ranks
+    at least that high. Every flooded node then upcasts its (ID, L, R)
     triple, and the root scores the prefixes 1, 2, ... up to the first
     prefix j >= 2 whose volume exceeds ``volume_cap``, which it leaves out.
     ``mode`` only labels the run: "tree" or "chain"."""
@@ -286,36 +306,40 @@ class SweepProtocol(Protocol):
     def initial_state(self, info: NodeInfo) -> _SweepState:
         state = _SweepState()
         if info.node in self.values:
-            state.rank = self.values[info.node] / max(1, info.degree)
-            state.best_prio = (state.rank, -info.node)
+            rank = self.values[info.node] / max(1, info.degree)
+            state.own = (_VAL, rank.numerator, rank.denominator, info.node)
+            state.best_prio = state.own
             state.best_dist = 0
             state.pending_cand = self.budget >= 1
         return state
 
     def _fold(self, state: _SweepState, inbox) -> None:
-        for sender, msg in sorted(inbox, key=lambda sm: sm[0]):
+        # the simulator lists the inbox in ascending sender order, so an
+        # equal CAND keeps the lowest sender as parent
+        for sender, msg in inbox:
             tag = msg[0]
             if tag == _CAND:
-                prio = (Fraction(msg[1], msg[2]), -msg[3])
                 dist = msg[4]
                 if dist > self.budget:
                     continue
+                best = state.best_prio
                 if (
-                    state.best_prio is None
-                    or prio > state.best_prio
-                    or (prio == state.best_prio and dist < state.best_dist)
+                    best is None
+                    or _outranks(msg, best)
+                    or (msg[3] == best[3] and dist < state.best_dist)  # same root, closer
                 ):
-                    state.best_prio = prio
+                    state.best_prio = msg[:4]
                     state.best_dist = dist
                     state.parent = sender
                     state.pending_cand = dist + 1 <= self.budget
             elif tag == _CHILD:
                 state.children.append(sender)
+                state.queues[sender] = deque()
             elif tag == _VAL:
-                if state.parent is None:
-                    state.collected.append((Fraction(msg[1], msg[2]), msg[3]))
-                else:
-                    state.up_items.append(msg)
+                if sender not in state.first:
+                    state.first[sender] = msg
+                if not state.closed:
+                    state.queues[sender].append(msg)
             elif tag == _VDONE:
                 state.vdone_from[sender] = msg[1]
             elif tag == _TRI:
@@ -326,11 +350,46 @@ class SweepProtocol(Protocol):
             else:  # _PLEN or _PENT
                 if tag == _PLEN:
                     state.pi_expected = msg[1]
+                    self._aim_flood(state, (_VAL,) + msg[2:])
                 else:
                     state.pi_ids[msg[1]] = msg[2]
                     state.pi_pos[msg[2]] = msg[1]
-                if any(state.vdone_from.get(c, 0) > 0 for c in state.children):
+                if state.flood_to:
                     state.flood_buf.append(msg)
+
+    @staticmethod
+    def _aim_flood(state: _SweepState, last: tuple) -> None:
+        """Flood toward the children whose largest value ranks at least as
+        high as ``last``, the last flooded item: their subtrees hold the
+        flooded nodes."""
+        state.flood_to = [
+            c for c in state.children if c in state.first and not _outranks(last, state.first[c])
+        ]
+
+    def _pull(self, state: _SweepState) -> tuple | None:
+        """The next item of this node's merged stream: the largest of its own
+        value and its children's queue heads. None while a child that has
+        not sent VDONE has nothing queued, or once the stream ends; the
+        stream closes after ``trunc_limit`` items or when it runs dry."""
+        best, source = state.own, None
+        for c in state.children:
+            queue = state.queues[c]
+            if queue:
+                if best is None or _outranks(queue[0], best):
+                    best, source = queue[0], c
+            elif c not in state.vdone_from:
+                return None
+        if best is None:
+            state.closed = True
+            return None
+        if source is None:
+            state.own = None
+        else:
+            state.queues[source].popleft()
+        state.merged += 1
+        if state.merged == self.trunc_limit:
+            state.closed = True
+        return best
 
     def handle_round(self, info: NodeInfo, state: _SweepState, inbox, ctx):
         self._fold(state, inbox)
@@ -339,10 +398,10 @@ class SweepProtocol(Protocol):
 
         if round_no <= self.flood_rounds:
             if state.pending_cand:
-                rank, neg_id = state.best_prio
-                msg = (_CAND, rank.numerator, rank.denominator, -neg_id, state.best_dist + 1)
-                for w in info.neighbors:
-                    out.append((w, msg, _bits(msg)))
+                _, num, den, root = state.best_prio
+                msg = (_CAND, num, den, root, state.best_dist + 1)
+                bits = _bits(msg)
+                out = [(w, msg, bits) for w in info.neighbors]
                 state.pending_cand = False
             return out
 
@@ -357,28 +416,19 @@ class SweepProtocol(Protocol):
             return out  # outside the flood region; nothing else to do
 
         is_root = state.parent is None
-        if not state.own_value_handled:
-            state.own_value_handled = True
-            if state.rank is not None:
-                if is_root:
-                    state.collected.append((state.rank, info.node))
-                else:
-                    state.up_items.appendleft(
-                        (_VAL, state.rank.numerator, state.rank.denominator, info.node)
-                    )
-
-        children_done = all(c in state.vdone_from for c in state.children)
-
+        children_done = len(state.vdone_from) == len(state.children)
         if is_root:
             self._root_round(state, children_done, out)
-        elif state.up_items:
-            msg = state.up_items.popleft()
-            out.append((state.parent, msg, _bits(msg)))
-        elif not state.sent_vdone and children_done:
-            total = sum(state.vdone_from.values()) + (1 if state.rank is not None else 0)
-            msg = (_VDONE, total)
-            out.append((state.parent, msg, _bits(msg)))
-            state.sent_vdone = True
+        else:
+            msg = None if state.closed else self._pull(state)
+            if msg is None and state.closed and not state.sent_vdone and children_done:
+                own = 1 if info.node in self.values else 0
+                msg = (_VDONE, sum(state.vdone_from.values()) + own)
+                state.sent_vdone = True
+            if msg is None and state.up_items:
+                msg = state.up_items.popleft()
+            if msg is not None:
+                out.append((state.parent, msg, _bits(msg)))
 
         if state.flood_buf:
             self._flood_down(state, state.flood_buf.popleft(), out)
@@ -397,27 +447,31 @@ class SweepProtocol(Protocol):
         return out
 
     def _root_round(self, state: _SweepState, children_done: bool, out) -> None:
-        if state.pi_seq is None and children_done:
-            ranked = sorted(state.collected, key=lambda it: (-it[0], it[1]))
-            if self.trunc_limit is not None:
-                ranked = ranked[: self.trunc_limit]
-            seq: list[tuple] = [(_PLEN, len(ranked))]
-            for position, (_, node) in enumerate(ranked, start=1):
+        while not state.closed:
+            item = self._pull(state)
+            if item is None:
+                break
+            state.ranked.append(item)
+        if state.pi_seq is None and state.closed and children_done:
+            last = state.ranked[-1]
+            seq: list[tuple] = [(_PLEN, len(state.ranked)) + last[1:]]
+            for position, (_, _, _, node) in enumerate(state.ranked, start=1):
                 seq.append((_PENT, position, node))
                 state.pi_ids[position] = node
                 state.pi_pos[node] = position
-            state.pi_expected = len(ranked)
+            state.pi_expected = len(state.ranked)
             state.pi_seq = seq
+            self._aim_flood(state, last)
         if state.pi_seq is not None and state.flood_ptr < len(state.pi_seq):
             self._flood_down(state, state.pi_seq[state.flood_ptr], out)
             state.flood_ptr += 1
 
     @staticmethod
     def _flood_down(state: _SweepState, msg: tuple, out) -> None:
-        """Send one ordering message toward the subtrees holding ranked nodes."""
-        for c in state.children:
-            if state.vdone_from.get(c, 0) > 0:
-                out.append((c, msg, _bits(msg)))
+        """Send one ordering message toward the subtrees holding flooded nodes."""
+        bits = _bits(msg)
+        for c in state.flood_to:
+            out.append((c, msg, bits))
 
     def _score_at_root(self, info: NodeInfo, state: _SweepState) -> None:
         """Score the prefixes from the triples, reading each degree as L + R;

@@ -191,3 +191,6 @@ def test_chain_sweep_floods_only_the_size_cap(monkeypatch):
     (rec,) = recorders
     flood = sum(1 for _, _, _, msg in rec.sent if msg[0] in ("plen", "pent"))
     assert flood <= (req.size_cap + 1) * (g.node_count - 1)
+    # only the subtrees holding the top size_cap ranked nodes get the flood
+    radius = outcome.sweep.meta["support_radius"]
+    assert flood <= (req.size_cap + 1) * req.size_cap * 2 * radius

@@ -199,6 +199,42 @@ def test_stats_merge():
     assert dataclasses.astuple(m) == (5, 15, 6, 9, 1)
 
 
+class Converge(Protocol):
+    """In round 1 every neighbour of ``hub`` sends it two messages; the hub
+    keeps the inbox it reads in round 2."""
+
+    def __init__(self, hub):
+        self.hub = hub
+
+    def initial_state(self, info):
+        return {"inbox": None}
+
+    def handle_round(self, info, state, inbox, ctx):
+        if info.node == self.hub:
+            if inbox:
+                state["inbox"] = list(inbox)
+            return []
+        if ctx.round_no == 1 and self.hub in info.neighbors:
+            return [(self.hub, (info.node, i), 1) for i in (0, 1)]
+        return []
+
+    def finished(self, info, state, pending, round_no):
+        return round_no >= 1 and not pending
+
+    def finalize(self, info, state, pending):
+        return state["inbox"]
+
+
+@pytest.mark.parametrize("runner", [run_protocol, every_node_run_protocol])
+def test_inbox_lists_messages_in_ascending_sender_order(runner):
+    g = karate_club_graph()
+    hub = 33
+    outputs, _ = runner(g, Converge(hub), SimConfig(seed=0))
+    expected = [(v, (v, i)) for v in sorted(g.adjacency[hub]) for i in (0, 1)]
+    assert len(expected) == 2 * g.degree(hub) == 34
+    assert outputs[hub] == expected
+
+
 # -- active-set schedule ------------------------------------------------------
 
 SCHEDULE_GRAPHS = {

@@ -248,14 +248,7 @@ def test_round_bound_linear_in_inverse_eps_and_radius():
         assert stats.rounds <= a * math.ceil(1 / eps) + b * max(radius, 1) + const
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 3: the tree sweep upcasts every support value before "
-    "truncating, so its rounds grow with the support size (115 rounds against a "
-    "bound of 102 at n = 500, 412 against 114 at n = 2000)",
-)
-@pytest.mark.parametrize("n", [500, 2000])
+@pytest.mark.parametrize("n", [500, 2000, 10_000])
 def test_round_bound_at_scale(n):
     g = random_connected_graph(n, 2 * n, seed=1)
     cfg = SimConfig(seed=1)
@@ -268,6 +261,9 @@ def test_round_bound_at_scale(n):
     radius = res.meta["support_radius"]
     assert radius <= vec.step_cap
     assert stats.rounds <= a * math.ceil(1 / eps) + b * max(radius, 1) + const
+    ref = sweep_exact(g, vec, max_prefix=math.ceil(1 / eps))
+    assert (res.best_prefix, res.best_set, res.best_ratio) == (ref.best_prefix, ref.best_set, ref.best_ratio)
+    assert (res.profile, res.ordering) == (ref.profile, ref.ordering)
 
 
 def test_phase_two_ledger_bounds():
@@ -296,6 +292,55 @@ def test_phase_two_ledger_bounds():
         received = sum(1 for rr, _, dd in triples if rr == r and dd == s)
         state = states[s]
         assert sent + received <= len(state.children) + (1 if state.parent is not None else 0)
+
+
+def test_merge_upcast_and_flood_message_budget():
+    """Each node forwards at most k values and one VDONE, and the ordering
+    flood reaches only the subtrees that hold the top k ranked nodes."""
+    from collections import Counter
+
+    from hkcluster.congest import run_protocol
+    from hkcluster.sweep import SweepProtocol, _support_radius
+
+    g = random_connected_graph(2000, 4000, seed=1)
+    eps = 0.1
+    k = math.ceil(1 / eps)
+    vec, _ = estimate_phkpr_distributed(g, 0, 3.0, eps, SimConfig(seed=1))
+    radius = _support_radius(g, vec)
+    values = {v: Fraction(x) for v, x in vec.entries.items()}
+    proto = RecordingProtocol(SweepProtocol(values, radius, trunc_limit=k))
+    states, _ = run_protocol(g, proto, SimConfig(seed=1))
+    sent = Counter((src, msg[0]) for _, src, _, msg in proto.sent)
+    assert max(count for (_, tag), count in sent.items() if tag == "val") <= k
+    tree = [v for v, s in states.items() if s.best_prio is not None and s.parent is not None]
+    assert all(sent[v, "vdone"] == 1 for v in tree)
+    assert sum(count for (_, tag), count in sent.items() if tag == "vdone") == len(tree)
+    flood = sum(1 for *_, msg in proto.sent if msg[0] in ("plen", "pent"))
+    assert flood <= (k + 1) * k * 2 * radius
+
+
+@pytest.mark.parametrize("mode", ["paper", "strict"])
+@pytest.mark.parametrize("graph", ["karate", "ring-10xK20"])
+def test_every_sweep_message_is_charged_its_bits(monkeypatch, graph, mode):
+    from hkcluster.sweep import SweepProtocol, _bits
+
+    g = karate_club_graph() if graph == "karate" else ring_of_cliques(10, 20)
+    cfg = SimConfig(seed=17, mode=mode)
+    vec, _ = estimate_phkpr_distributed(g, 0, 5.0, 0.05, cfg)
+    inner = SweepProtocol.handle_round
+    charged = []
+
+    def checked(self, info, state, inbox, ctx):
+        out = inner(self, info, state, inbox, ctx)
+        for _, msg, bits in out:
+            assert bits == _bits(msg), msg
+        charged.extend(out)
+        return out
+
+    monkeypatch.setattr(SweepProtocol, "handle_round", checked)
+    distributed_sweep(g, vec, 0.05, cfg.derived(1))
+    chain_sweep(g, vec, size_cap=20, volume_cap=20 * 19 + 2, config=cfg.derived(2))
+    assert {msg[0] for _, msg, _ in charged} >= {"cand", "child", "val", "vdone", "plen", "pent", "tri"}
 
 
 # -- chain sweep -----------------------------------------------------------------
