@@ -52,7 +52,10 @@ class SimulationError(RuntimeError):
 
 def uint_bits(*values: int) -> int:
     """Bits to encode the given nonnegative integers, at least 1 each."""
-    return sum(max(1, int(v).bit_length()) for v in values)
+    total = 0
+    for v in values:  # no generator and no max(): this runs once per message
+        total += int(v).bit_length() or 1
+    return total
 
 
 @dataclass(frozen=True)

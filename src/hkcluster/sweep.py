@@ -22,17 +22,18 @@ and picks the first minimum; two evaluation routes feed it:
   arcs of its prefix and not the whole graph.
 * the sweep protocol, behind ``distributed_sweep`` and ``chain_sweep``.
   It builds a priority BFS tree over the support (higher value/degree wins
-  the root). A merge upcast brings the ranked values to the root: each
-  node forwards the largest of its own value and its children's stream
-  heads, one per round, and stops after the cap, so the upcast takes
-  O(cap + depth) rounds. The root floods its top ranked nodes, headed by
-  the last one's (rank, ID), and each node passes the flood only to
-  children whose largest value ranks at least that high. The flooded
-  nodes upcast their (ID, L, R) triples and the root applies the
-  recursions. The two drivers differ only in their caps:
-  ``distributed_sweep`` floods the top ceil(1/eps) ranked nodes;
-  ``chain_sweep`` floods the top size_cap (the whole support when only a
-  volume cap is given), and its root stops scoring before the first
+  the root). In the election's first round every support node broadcasts
+  its own (rank, ID), so each counts its L from that round's mail: a
+  neighbour ranked before a prefix node is itself in the prefix, so L_j
+  does not depend on where the sweep stops. A merge upcast brings the
+  ranked (rank, ID, L, degree) items to the root: each node forwards the
+  largest of its own item and its children's stream heads, one per round,
+  and stops after the cap (a volume cap: after the item that takes its
+  forwarded volume past it), so the upcast takes O(cap + depth) rounds.
+  The root applies the recursions to its merged stream. The two
+  drivers differ only in their caps: ``distributed_sweep`` scores the top
+  ceil(1/eps) ranked nodes; ``chain_sweep`` the top size_cap (the whole
+  support when only a volume cap is given), stopping before the first
   prefix j >= 2 whose volume exceeds volume_cap.
 
 In the distributed sweep an estimated vector is considered only down to the
@@ -220,11 +221,8 @@ def sweep_exact(
 
 _CAND = "cand"    # (tag, rank_num, rank_den, root_id, dist)
 _CHILD = "child"  # (tag,)
-_VAL = "val"      # (tag, rank_num, rank_den, origin_id)
+_VAL = "val"      # (tag, rank_num, rank_den, origin_id, left_count, degree)
 _VDONE = "vdone"  # (tag, subtree_support_count)
-_PLEN = "plen"    # (tag, ordering_length, last_rank_num, last_rank_den, last_id)
-_PENT = "pent"    # (tag, position 1-based, node_id)
-_TRI = "tri"      # (tag, origin_id, left_count, right_count)
 
 
 def _bits(msg: tuple) -> int:
@@ -239,12 +237,10 @@ def _outranks(a: tuple, b: tuple) -> bool:
     return lhs > rhs or (lhs == rhs and a[3] < b[3])
 
 
-_ABSENT = 1 << 60
-
-
 @dataclass
 class _SweepState:
-    own: tuple | None = None  # this node's VAL item, until merged
+    own: tuple | None = None  # this node's VAL item until merged; L, degree added at announce
+    left: int = 0  # neighbours whose own (rank, ID) outranks this node's
     # priority BFS
     best_prio: tuple | None = None  # (tag, rank_num, rank_den, root_id); larger wins
     best_dist: int = 0
@@ -253,39 +249,26 @@ class _SweepState:
     children: list[int] = field(default_factory=list)
     # merge upcast of the ranked values
     queues: dict[int, deque] = field(default_factory=dict)  # child -> its VALs
-    first: dict[int, tuple] = field(default_factory=dict)   # child -> its largest VAL
     vdone_from: dict[int, int] = field(default_factory=dict)
     merged: int = 0
+    volume: int = 0  # degrees of the merged items
     closed: bool = False  # own stream ended; later VALs are dropped
     sent_vdone: bool = False
-    # (ID, L, R) triples toward the root
-    up_items: deque = field(default_factory=deque)
-    counted: bool = False  # own triple handed on
-    # ordering flood
-    flood_to: list[int] = field(default_factory=list)
-    flood_buf: deque = field(default_factory=deque)
-    pi_expected: int | None = None
-    pi_ids: dict[int, int] = field(default_factory=dict)   # position -> node
-    pi_pos: dict[int, int] = field(default_factory=dict)   # node -> position
     # root bookkeeping
     ranked: list[tuple] = field(default_factory=list)
-    pi_seq: list[tuple] | None = None
-    flood_ptr: int = 0
-    triples: dict[int, tuple[int, int]] = field(default_factory=dict)  # pos -> (L, R)
     result: tuple | None = None  # (ordering, profile, best prefix)
 
 
 class SweepProtocol(Protocol):
-    """Priority-BFS tree over the flood region, CHILD announce, and a merge
-    upcast of the ranked values: each node forwards its subtree's values in
-    rank order, at most ``trunc_limit`` of them (all when None), then VDONE
-    with its exact subtree support count. The root floods the top
-    ``trunc_limit`` ranked nodes, headed by the last one's (rank, ID), and
-    each node passes the flood only to children whose largest value ranks
-    at least that high. Every flooded node then upcasts its (ID, L, R)
-    triple, and the root scores the prefixes 1, 2, ... up to the first
-    prefix j >= 2 whose volume exceeds ``volume_cap``, which it leaves out.
-    ``mode`` only labels the run: "tree" or "chain"."""
+    """Priority-BFS tree over the election region, CHILD announce, and a
+    merge upcast of the ranked values: each node forwards its subtree's VAL
+    items in rank order, at most ``trunc_limit`` of them (all when None) and
+    none after the one that takes their volume past ``volume_cap``, then
+    VDONE with its exact subtree support count. Each item carries its
+    node's L, counted from the election's first round, and degree, so the
+    root scores the prefixes 1, 2, ... straight from its merged stream, up
+    to the first prefix j >= 2 whose volume exceeds ``volume_cap``, which
+    it leaves out. ``mode`` only labels the run: "tree" or "chain"."""
 
     def __init__(
         self,
@@ -297,8 +280,8 @@ class SweepProtocol(Protocol):
     ):
         self.values = values
         self.budget = 2 * radius
-        self.flood_rounds = 2 * radius + 1
-        self.announce_round = self.flood_rounds + 1
+        self.election_rounds = 2 * radius + 1
+        self.announce_round = self.election_rounds + 1
         self.trunc_limit = trunc_limit
         self.volume_cap = volume_cap
         self.mode = mode
@@ -320,6 +303,10 @@ class SweepProtocol(Protocol):
             tag = msg[0]
             if tag == _CAND:
                 dist = msg[4]
+                # only a support node's round-1 broadcast of its own
+                # (rank, ID) travels at dist 1
+                if dist == 1 and state.own is not None and _outranks(msg, state.own):
+                    state.left += 1
                 if dist > self.budget:
                     continue
                 best = state.best_prio
@@ -336,41 +323,17 @@ class SweepProtocol(Protocol):
                 state.children.append(sender)
                 state.queues[sender] = deque()
             elif tag == _VAL:
-                if sender not in state.first:
-                    state.first[sender] = msg
                 if not state.closed:
                     state.queues[sender].append(msg)
-            elif tag == _VDONE:
+            else:  # _VDONE
                 state.vdone_from[sender] = msg[1]
-            elif tag == _TRI:
-                if state.parent is None:
-                    state.triples[state.pi_pos[msg[1]]] = (msg[2], msg[3])
-                else:
-                    state.up_items.append(msg)
-            else:  # _PLEN or _PENT
-                if tag == _PLEN:
-                    state.pi_expected = msg[1]
-                    self._aim_flood(state, (_VAL,) + msg[2:])
-                else:
-                    state.pi_ids[msg[1]] = msg[2]
-                    state.pi_pos[msg[2]] = msg[1]
-                if state.flood_to:
-                    state.flood_buf.append(msg)
-
-    @staticmethod
-    def _aim_flood(state: _SweepState, last: tuple) -> None:
-        """Flood toward the children whose largest value ranks at least as
-        high as ``last``, the last flooded item: their subtrees hold the
-        flooded nodes."""
-        state.flood_to = [
-            c for c in state.children if c in state.first and not _outranks(last, state.first[c])
-        ]
 
     def _pull(self, state: _SweepState) -> tuple | None:
         """The next item of this node's merged stream: the largest of its own
         value and its children's queue heads. None while a child that has
         not sent VDONE has nothing queued, or once the stream ends; the
-        stream closes after ``trunc_limit`` items or when it runs dry."""
+        stream closes when it runs dry, after ``trunc_limit`` items, or
+        after the item that takes its volume past ``volume_cap``."""
         best, source = state.own, None
         for c in state.children:
             queue = state.queues[c]
@@ -387,7 +350,10 @@ class SweepProtocol(Protocol):
         else:
             state.queues[source].popleft()
         state.merged += 1
-        if state.merged == self.trunc_limit:
+        state.volume += best[5]
+        if state.merged == self.trunc_limit or (
+            self.volume_cap is not None and state.volume > self.volume_cap
+        ):
             state.closed = True
         return best
 
@@ -396,7 +362,7 @@ class SweepProtocol(Protocol):
         out: list[tuple[int, Any, int]] = []
         round_no = ctx.round_no
 
-        if round_no <= self.flood_rounds:
+        if round_no <= self.election_rounds:
             if state.pending_cand:
                 _, num, den, root = state.best_prio
                 msg = (_CAND, num, den, root, state.best_dist + 1)
@@ -407,95 +373,61 @@ class SweepProtocol(Protocol):
 
         if round_no == self.announce_round:
             state.pending_cand = False
+            if state.own is not None:
+                state.own += (state.left, info.degree)
             if state.best_prio is not None and state.parent is not None:
                 msg = (_CHILD,)
                 out.append((state.parent, msg, _bits(msg)))
             return out
 
         if state.best_prio is None:
-            return out  # outside the flood region; nothing else to do
+            return out  # outside the election region; nothing else to do
 
-        is_root = state.parent is None
-        children_done = len(state.vdone_from) == len(state.children)
-        if is_root:
-            self._root_round(state, children_done, out)
-        else:
-            msg = None if state.closed else self._pull(state)
-            if msg is None and state.closed and not state.sent_vdone and children_done:
-                own = 1 if info.node in self.values else 0
-                msg = (_VDONE, sum(state.vdone_from.values()) + own)
-                state.sent_vdone = True
-            if msg is None and state.up_items:
-                msg = state.up_items.popleft()
-            if msg is not None:
-                out.append((state.parent, msg, _bits(msg)))
-
-        if state.flood_buf:
-            self._flood_down(state, state.flood_buf.popleft(), out)
-
-        if len(state.pi_ids) == state.pi_expected:  # the whole ordering is known
-            position = state.pi_pos.get(info.node)
-            if position is not None and not state.counted:
-                state.counted = True
-                left = sum(1 for w in info.neighbors if state.pi_pos.get(w, _ABSENT) < position)
-                if is_root:
-                    state.triples[position] = (left, info.degree - left)
-                else:
-                    state.up_items.append((_TRI, info.node, left, info.degree - left))
-            if is_root and state.result is None and len(state.triples) == state.pi_expected:
+        if state.parent is None:
+            while not state.closed:
+                item = self._pull(state)
+                if item is None:
+                    break
+                state.ranked.append(item)
+            if state.closed and state.result is None:
                 self._score_at_root(info, state)
+            return out
+        msg = None if state.closed else self._pull(state)
+        if (
+            msg is None
+            and state.closed
+            and not state.sent_vdone
+            and len(state.vdone_from) == len(state.children)
+        ):
+            own = 1 if info.node in self.values else 0
+            msg = (_VDONE, sum(state.vdone_from.values()) + own)
+            state.sent_vdone = True
+        if msg is not None:
+            out.append((state.parent, msg, _bits(msg)))
         return out
 
-    def _root_round(self, state: _SweepState, children_done: bool, out) -> None:
-        while not state.closed:
-            item = self._pull(state)
-            if item is None:
-                break
-            state.ranked.append(item)
-        if state.pi_seq is None and state.closed and children_done:
-            last = state.ranked[-1]
-            seq: list[tuple] = [(_PLEN, len(state.ranked)) + last[1:]]
-            for position, (_, _, _, node) in enumerate(state.ranked, start=1):
-                seq.append((_PENT, position, node))
-                state.pi_ids[position] = node
-                state.pi_pos[node] = position
-            state.pi_expected = len(state.ranked)
-            state.pi_seq = seq
-            self._aim_flood(state, last)
-        if state.pi_seq is not None and state.flood_ptr < len(state.pi_seq):
-            self._flood_down(state, state.pi_seq[state.flood_ptr], out)
-            state.flood_ptr += 1
-
-    @staticmethod
-    def _flood_down(state: _SweepState, msg: tuple, out) -> None:
-        """Send one ordering message toward the subtrees holding flooded nodes."""
-        bits = _bits(msg)
-        for c in state.flood_to:
-            out.append((c, msg, bits))
-
     def _score_at_root(self, info: NodeInfo, state: _SweepState) -> None:
-        """Score the prefixes from the triples, reading each degree as L + R;
-        the first prefix is always scored and the full vertex set never."""
+        """Score the prefixes of the merged stream, vol += d and boundary +=
+        d - 2L per item; the first prefix is always scored and the full
+        vertex set never."""
         counts = []
         vol = boundary = 0
-        for j in range(1, _last_prefix(info.n, state.pi_expected, None) + 1):
-            left, right = state.triples[j]
-            vol += left + right
+        last = _last_prefix(info.n, len(state.ranked), None)
+        for j, (_, _, _, _, left, degree) in enumerate(state.ranked[:last], start=1):
+            vol += degree
             if j > 1 and self.volume_cap is not None and vol > self.volume_cap:
                 break
-            boundary += right - left
+            boundary += degree - 2 * left
             counts.append((vol, boundary))
         profile, best_j = _score(counts, 2 * info.m)
-        state.result = (tuple(state.pi_ids[j] for j in range(1, len(counts) + 1)), profile, best_j)
+        state.result = (tuple(item[3] for item in state.ranked[: len(counts)]), profile, best_j)
 
     def finished(self, info, state: _SweepState, pending, round_no: int) -> bool:
         if pending:
             return False
         if state.best_prio is None:
-            return True  # outside the flood region: asleep until mail arrives
+            return True  # outside the election region: asleep until mail arrives
         if round_no < self.announce_round:
-            return False
-        if state.up_items or state.flood_buf:
             return False
         if state.parent is None:
             return state.result is not None
@@ -542,7 +474,6 @@ def _run_sweep(
             "support_radius": radius,
             "trunc_limit": trunc_limit,
             "examined_prefixes": len(profile),
-            "tree_build_rounds": protocol.announce_round,
         },
     )
     return result, stats
@@ -568,10 +499,10 @@ def chain_sweep(
     volume_cap: int | None = None,
     config: SimConfig = SimConfig(),
 ) -> tuple[SweepResult, RoundStats]:
-    """Sweep protocol with early stopping: the root floods the top size_cap
-    ranked nodes (the whole support when only volume_cap is given) and
-    scores the prefixes up to the first one whose volume exceeds
-    volume_cap. The first prefix is always scored."""
+    """Sweep protocol with early stopping: the root scores the top size_cap
+    ranked nodes (the whole support when only volume_cap is given), up to
+    the first prefix whose volume exceeds volume_cap. The first prefix is
+    always scored."""
     if size_cap is None and volume_cap is None:
         raise ValueError("at least one of size_cap/volume_cap is required")
     if size_cap is not None and size_cap < 1:

@@ -170,9 +170,11 @@ def test_local_cluster_builds_no_sweep_ordering(size_cap, volume_cap, sweep, mon
     assert calls["build_ordering"] == 0
 
 
-def test_chain_sweep_floods_only_the_size_cap(monkeypatch):
-    """The support is all n nodes, yet the root floods the ordering length
-    and only the top size_cap ranked nodes, each at most once per tree edge."""
+def test_chain_sweep_sends_no_ordering_flood(monkeypatch):
+    """The support is all n nodes, yet no ordering flows back down the tree
+    and each node forwards at most size_cap values."""
+    from collections import Counter
+
     import hkcluster.sweep as sweep_mod
 
     recorders = []
@@ -189,8 +191,6 @@ def test_chain_sweep_floods_only_the_size_cap(monkeypatch):
     assert outcome.sweep.meta["mode"] == "chain"
     assert len(outcome.vector.entries) == g.node_count
     (rec,) = recorders
-    flood = sum(1 for _, _, _, msg in rec.sent if msg[0] in ("plen", "pent"))
-    assert flood <= (req.size_cap + 1) * (g.node_count - 1)
-    # only the subtrees holding the top size_cap ranked nodes get the flood
-    radius = outcome.sweep.meta["support_radius"]
-    assert flood <= (req.size_cap + 1) * req.size_cap * 2 * radius
+    assert not any(msg[0] in ("plen", "pent", "tri") for _, _, _, msg in rec.sent)
+    vals = Counter(src for _, src, _, msg in rec.sent if msg[0] == "val")
+    assert max(vals.values()) <= req.size_cap

@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from hkcluster import (
@@ -190,6 +191,7 @@ def test_uint_bits():
     assert uint_bits(1) == 1
     assert uint_bits(7, 1) == 4
     assert uint_bits(255) == 8
+    assert uint_bits(np.int64(255), np.int64(0)) == 9
 
 
 def test_stats_merge():

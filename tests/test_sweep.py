@@ -280,23 +280,22 @@ def test_phase_two_ledger_bounds():
     # whole run: a node handles at most one broadcast plus one receipt per
     # neighbor per round
     assert stats.max_node_messages <= 2 * g.max_degree + 2
-    triples = [(r, s, d) for r, s, d, msg in proto.sent if msg[0] == "tri"]
-    n_pi = next(s.pi_expected for s in states.values() if s.result is not None)
-    assert n_pi == 10
-    # one triple per tree edge per round; per-node phase-2 load stays within
+    vals = [(r, s, d) for r, s, d, msg in proto.sent if msg[0] == "val"]
+    ordering, _, _ = next(s.result for s in states.values() if s.result is not None)
+    assert len(ordering) == 10
+    # one value per tree edge per round; per-node phase-2 load stays within
     # the node's tree degree (children plus parent link)
     tree_edges = sum(1 for s in states.values() if s.parent is not None)
-    per_round = Counter(r for r, _, _ in triples)
+    per_round = Counter(r for r, _, _ in vals)
     assert not per_round or max(per_round.values()) <= tree_edges
-    for (r, s), sent in Counter((r, s) for r, s, _ in triples).items():
-        received = sum(1 for rr, _, dd in triples if rr == r and dd == s)
+    for (r, s), sent in Counter((r, s) for r, s, _ in vals).items():
+        received = sum(1 for rr, _, dd in vals if rr == r and dd == s)
         state = states[s]
         assert sent + received <= len(state.children) + (1 if state.parent is not None else 0)
 
 
-def test_merge_upcast_and_flood_message_budget():
-    """Each node forwards at most k values and one VDONE, and the ordering
-    flood reaches only the subtrees that hold the top k ranked nodes."""
+def test_merge_upcast_message_budget():
+    """Each node forwards at most k values and one VDONE."""
     from collections import Counter
 
     from hkcluster.congest import run_protocol
@@ -315,8 +314,6 @@ def test_merge_upcast_and_flood_message_budget():
     tree = [v for v, s in states.items() if s.best_prio is not None and s.parent is not None]
     assert all(sent[v, "vdone"] == 1 for v in tree)
     assert sum(count for (_, tag), count in sent.items() if tag == "vdone") == len(tree)
-    flood = sum(1 for *_, msg in proto.sent if msg[0] in ("plen", "pent"))
-    assert flood <= (k + 1) * k * 2 * radius
 
 
 @pytest.mark.parametrize("mode", ["paper", "strict"])
@@ -340,7 +337,7 @@ def test_every_sweep_message_is_charged_its_bits(monkeypatch, graph, mode):
     monkeypatch.setattr(SweepProtocol, "handle_round", checked)
     distributed_sweep(g, vec, 0.05, cfg.derived(1))
     chain_sweep(g, vec, size_cap=20, volume_cap=20 * 19 + 2, config=cfg.derived(2))
-    assert {msg[0] for _, msg, _ in charged} >= {"cand", "child", "val", "vdone", "plen", "pent", "tri"}
+    assert {msg[0] for _, msg, _ in charged} == {"cand", "child", "val", "vdone"}
 
 
 # -- chain sweep -----------------------------------------------------------------
@@ -382,6 +379,44 @@ def test_chain_volume_cap_stops_inside_planted_clique():
     assert res.best_set == frozenset(range(8))
     assert res.best_ratio == Fraction(1, 57)
     assert cheeger_ratio(g, res.best_set) == res.best_ratio
+
+
+def test_chain_volume_cap_closes_each_merge_early(monkeypatch):
+    """With only a volume cap, each node stops forwarding after the value
+    that takes its forwarded volume past the cap, and the root's profile is
+    the exact sweep's, cut before the first prefix j >= 2 over the cap."""
+    from collections import defaultdict
+
+    g = random_connected_graph(1000, 2000, seed=1)
+    vec, _ = estimate_phkpr_distributed(g, 0, 3.0, 0.1, SimConfig(seed=1))
+    cap = 400
+    recorders = []
+    inner = sweep.run_protocol
+
+    def recorded(graph, protocol, config):
+        recorders.append(RecordingProtocol(protocol))
+        return inner(graph, recorders[-1], config)
+
+    monkeypatch.setattr(sweep, "run_protocol", recorded)
+    res, _ = chain_sweep(g, vec, volume_cap=cap, config=SimConfig(seed=2))
+    forwarded = defaultdict(list)
+    for _, src, _, msg in recorders[0].sent:
+        if msg[0] == "val":
+            forwarded[src].append(g.degree(msg[3]))
+    assert forwarded
+    assert all(sum(degrees[:-1]) <= cap for degrees in forwarded.values())
+    full = sweep_exact(g, vec)
+    last = next(
+        (j for j, (vol, _, _) in enumerate(full.profile) if j > 0 and vol > cap), len(full.profile)
+    )
+    ref = sweep_exact(g, vec, max_prefix=last)
+    assert res.profile == ref.profile == full.profile[:last]
+    assert res.ordering == ref.ordering
+    assert (res.best_prefix, res.best_ratio, res.best_set) == (
+        ref.best_prefix,
+        ref.best_ratio,
+        ref.best_set,
+    )
 
 
 @functools.lru_cache(maxsize=None)
